@@ -70,9 +70,6 @@ void PrecompiledBundle::apply(ops::KernelBackend& backend) const {
   for (const LutEntry& l : luts) {
     backend.adopt_lut_panel(l.key, l.bits, l.tables, l.wsum);
   }
-  for (const OffsetEntry& o : offsets) {
-    backend.register_offset_row(o.key, o.a_zp, o.offset);
-  }
 }
 
 void check_arena(std::span<const std::uint8_t> arena, std::int64_t need,

@@ -96,9 +96,9 @@ std::vector<QuantParams> effective_output_params(
 ArenaPlan plan_execution_arena(const Graph& g, std::int64_t elem_bytes);
 
 // Construction-time kernel state precomputed by the plan-artifact writer:
-// k-major weight panels, LUT recode tables and bias/zero-point offset rows,
-// each a span view into the read-only artifact mapping (keyed by the layer's
-// quantized-weight pointer, also a mapping view). apply() hands them to a
+// k-major weight panels and LUT recode tables, each a span view into the
+// read-only artifact mapping (keyed by the layer's quantized-weight
+// pointer, also a mapping view). apply() hands them to a
 // backend, which then skips its own packing for those weights — the first
 // inference after load_compiled() performs no panel construction at all.
 struct PrecompiledBundle {
@@ -113,14 +113,8 @@ struct PrecompiledBundle {
     std::span<const std::int8_t> tables;
     std::span<const std::int32_t> wsum;
   };
-  struct OffsetEntry {
-    const std::int8_t* key = nullptr;
-    std::int32_t a_zp = 0;  // activation zero point the row was baked for
-    std::span<const std::int32_t> offset;
-  };
   std::vector<PanelEntry> panels;
   std::vector<LutEntry> luts;
-  std::vector<OffsetEntry> offsets;
 
   void apply(ops::KernelBackend& backend) const;
 };

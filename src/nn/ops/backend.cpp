@@ -83,6 +83,21 @@ OutputInterior output_interior(int kernel, int stride, int pad, int extent,
   return {lo, hi_inclusive + 1};
 }
 
+// The per-column requantization constant bias[j] − a_zp·Σw[j] for the
+// bias the caller actually passed (mixed-precision branch steps pass
+// per-branch biases), computed into scratch on every call: O(n), and the
+// arena planner already prices the row.
+std::span<const std::int32_t> offset_row(ScratchArena& arena,
+                                         std::span<const std::int32_t> qbias,
+                                         std::span<const std::int32_t> wsum,
+                                         std::int32_t a_zp) {
+  auto row = arena.i32(wsum.size());
+  for (std::size_t j = 0; j < wsum.size(); ++j) {
+    row[j] = (qbias.empty() ? 0 : qbias[j]) - a_zp * wsum[j];
+  }
+  return row;
+}
+
 // Shared im2col + GEMM driver. `pack_row(oy, dst)` fills one output row's
 // im2col strip; everything else (zero-point folding, requantization) is
 // common to the unpacked and packed-input paths. `bt`/`wsum` come from
@@ -98,8 +113,7 @@ void fast_conv2d_impl(ScratchArena& arena, const TensorShape& is,
                       const QuantParams& wparams,
                       std::span<const std::int32_t> qbias,
                       const PackRow& pack_row, QTensor& out,
-                      const simd::SimdKernels* simd,
-                      std::span<const std::int32_t> pre_offset = {}) {
+                      const simd::SimdKernels* simd) {
   const TensorShape os = conv_output_shape(is, l, l.out_channels);
   const int n = l.out_channels;
   const int k = static_cast<int>(im2col_row_elements(is, l));
@@ -110,21 +124,8 @@ void fast_conv2d_impl(ScratchArena& arena, const TensorShape& is,
   // The AVX-VNNI generation's GEMM block biases every activation lane by
   // +128 (see SimdKernels::gemm_a_bias); treating the bias as part of the
   // zero point folds its -128*Σw correction into the same constant.
-  // `pre_offset` (a registered artifact row validated by the caller against
-  // the live a_zp) skips the per-run recomputation.
-  std::span<const std::int32_t> offset = pre_offset;
-  if (offset.empty()) {
-    const std::int32_t a_zp =
-        ip.zero_point + simd::gemm_activation_bias(simd);
-    auto row = arena.i32(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) {
-      const std::int32_t bias =
-          qbias.empty() ? 0 : qbias[static_cast<std::size_t>(j)];
-      row[static_cast<std::size_t>(j)] =
-          bias - a_zp * wsum[static_cast<std::size_t>(j)];
-    }
-    offset = row;
-  }
+  const auto offset = offset_row(
+      arena, qbias, wsum, ip.zero_point + simd::gemm_activation_bias(simd));
   auto a = arena.i8(static_cast<std::size_t>(os.w) * k);
   auto acc = arena.i32(4 * static_cast<std::size_t>(n));
 
@@ -157,8 +158,7 @@ void lut_conv2d_impl(ScratchArena& arena, const TensorShape& is,
                      const QuantParams& wparams,
                      std::span<const std::int32_t> qbias,
                      const PackRow& pack_row, QTensor& out,
-                     const simd::SimdKernels* simd,
-                     std::span<const std::int32_t> pre_offset = {}) {
+                     const simd::SimdKernels* simd) {
   const TensorShape os = conv_output_shape(is, l, l.out_channels);
   const int n = l.out_channels;
   const int k = static_cast<int>(im2col_row_elements(is, l));
@@ -166,19 +166,8 @@ void lut_conv2d_impl(ScratchArena& arena, const TensorShape& is,
   QMCU_REQUIRE(out.shape() == os, "conv2d: destination shape mismatch");
   const QuantParams& out_params = out.params();
 
-  // The LUT path has no activation bias, so its registered rows are keyed
-  // at a_zp == ip.zero_point exactly.
-  std::span<const std::int32_t> offset = pre_offset;
-  if (offset.empty()) {
-    auto row = arena.i32(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) {
-      const std::int32_t bias =
-          qbias.empty() ? 0 : qbias[static_cast<std::size_t>(j)];
-      row[static_cast<std::size_t>(j)] =
-          bias - ip.zero_point * wsum[static_cast<std::size_t>(j)];
-    }
-    offset = row;
-  }
+  // The LUT path has no activation bias.
+  const auto offset = offset_row(arena, qbias, wsum, ip.zero_point);
   auto a = arena.i8(static_cast<std::size_t>(os.w) * k);
   auto idx = arena.i8(static_cast<std::size_t>(groups) * lut::kLutTileM);
   auto acc = arena.i32(
@@ -398,25 +387,6 @@ void KernelBackend::adopt_lut_panel(const std::int8_t* key, int bits,
   adopted_lut_[bits == 4 ? 1 : 0][key] = LutView{tables, wsum};
 }
 
-void KernelBackend::register_offset_row(const std::int8_t* key,
-                                        std::int32_t a_zp,
-                                        std::span<const std::int32_t> offset) {
-  QMCU_REQUIRE(key != nullptr && !offset.empty(),
-               "register_offset_row: empty row");
-  offset_rows_[key] = OffsetRow{a_zp, offset};
-}
-
-std::span<const std::int32_t> KernelBackend::offset_row(
-    const std::int8_t* key, std::int32_t a_zp, int n) const {
-  if (offset_rows_.empty()) return {};
-  const auto it = offset_rows_.find(key);
-  if (it == offset_rows_.end() || it->second.a_zp != a_zp ||
-      static_cast<int>(it->second.offset.size()) != n) {
-    return {};
-  }
-  return it->second.offset;
-}
-
 void KernelBackend::conv2d_into(const QTensor& in, const Layer& l,
                                 std::span<const std::int8_t> qweights,
                                 const QuantParams& wparams,
@@ -445,16 +415,13 @@ void KernelBackend::conv2d_into(const QTensor& in, const Layer& l,
     arena_.reset();
     const LutView t = lut_panel(qweights, n, static_cast<int>(k), ip.bits);
     lut_conv2d_impl(arena_, is, ip, l, t.tables, t.wsum, wparams, qbias,
-                    pack_row, out, simd_,
-                    offset_row(qweights.data(), ip.zero_point, n));
+                    pack_row, out, simd_);
     return;
   }
   arena_.reset();
   const PanelView w = weight_panel(qweights, n, static_cast<int>(k));
-  fast_conv2d_impl(
-      arena_, is, ip, l, w.bt, w.wsum, wparams, qbias, pack_row, out, simd_,
-      offset_row(qweights.data(),
-                 ip.zero_point + simd::gemm_activation_bias(simd_), n));
+  fast_conv2d_impl(arena_, is, ip, l, w.bt, w.wsum, wparams, qbias, pack_row,
+                   out, simd_);
 }
 
 QTensor KernelBackend::conv2d(const QTensor& in, const Layer& l,
@@ -506,17 +473,13 @@ QTensor KernelBackend::conv2d_packed(std::span<const std::uint8_t> packed,
     arena_.reset();
     const LutView t = lut_panel(qweights, n, static_cast<int>(k), bits);
     lut_conv2d_impl(arena_, in_shape, in_params, l, t.tables, t.wsum, wparams,
-                    qbias, pack_row, out, simd_,
-                    offset_row(qweights.data(), in_params.zero_point, n));
+                    qbias, pack_row, out, simd_);
     return out;
   }
   arena_.reset();
   const PanelView w = weight_panel(qweights, n, static_cast<int>(k));
-  fast_conv2d_impl(
-      arena_, in_shape, in_params, l, w.bt, w.wsum, wparams, qbias, pack_row,
-      out, simd_,
-      offset_row(qweights.data(),
-                 in_params.zero_point + simd::gemm_activation_bias(simd_), n));
+  fast_conv2d_impl(arena_, in_shape, in_params, l, w.bt, w.wsum, wparams,
+                   qbias, pack_row, out, simd_);
   return out;
 }
 
@@ -570,18 +533,7 @@ void KernelBackend::fully_connected_into(const QTensor& in, const Layer& l,
     arena_.reset();
     const LutView t = lut_panel(qweights, l.out_channels, kf_lut, ip.bits);
     const int n = l.out_channels;
-    std::span<const std::int32_t> offset =
-        offset_row(qweights.data(), ip.zero_point, n);
-    if (offset.empty()) {
-      auto row = arena_.i32(static_cast<std::size_t>(n));
-      for (int j = 0; j < n; ++j) {
-        const std::int32_t bias =
-            qbias.empty() ? 0 : qbias[static_cast<std::size_t>(j)];
-        row[static_cast<std::size_t>(j)] =
-            bias - ip.zero_point * t.wsum[static_cast<std::size_t>(j)];
-      }
-      offset = row;
-    }
+    const auto offset = offset_row(arena_, qbias, t.wsum, ip.zero_point);
     const int groups = lut::lut_groups(kf_lut, ip.bits);
     auto idx = arena_.i8(static_cast<std::size_t>(groups) * lut::kLutTileM);
     auto acc = arena_.i32(static_cast<std::size_t>(n));
@@ -608,19 +560,8 @@ void KernelBackend::fully_connected_into(const QTensor& in, const Layer& l,
   const int k = static_cast<int>(in_features);
   arena_.reset();
   const PanelView w = weight_panel(qweights, n, k);
-  const std::int32_t a_zp =
-      ip.zero_point + simd::gemm_activation_bias(simd_);
-  std::span<const std::int32_t> offset = offset_row(qweights.data(), a_zp, n);
-  if (offset.empty()) {
-    auto row = arena_.i32(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) {
-      const std::int32_t bias =
-          qbias.empty() ? 0 : qbias[static_cast<std::size_t>(j)];
-      row[static_cast<std::size_t>(j)] =
-          bias - a_zp * w.wsum[static_cast<std::size_t>(j)];
-    }
-    offset = row;
-  }
+  const auto offset = offset_row(
+      arena_, qbias, w.wsum, ip.zero_point + simd::gemm_activation_bias(simd_));
   auto acc = arena_.i32(static_cast<std::size_t>(n));  // one row: m == 1
   GemmQuantPost post;
   post.offset = offset.data();

@@ -170,16 +170,6 @@ class KernelBackend {
   void adopt_lut_panel(const std::int8_t* key, int bits,
                        std::span<const std::int8_t> tables,
                        std::span<const std::int32_t> wsum);
-  // Installs a precomputed per-column constant row (bias − a_zp·Σw) for the
-  // weight blob at `key`, valid only at the recorded activation zero point
-  // `a_zp` (which folds in the dot generation's +128 activation bias, so
-  // the row is kernel-generation-dependent). Ops validate a_zp and length
-  // before use and silently fall back to the per-run scratch computation on
-  // mismatch — correctness never depends on the registration matching the
-  // live kernel generation.
-  void register_offset_row(const std::int8_t* key, std::int32_t a_zp,
-                           std::span<const std::int32_t> offset);
-
   // --- integer ops (contracts in int8_kernels.h) ---------------------------
   // Each op has a value-returning form and an `_into` form writing into a
   // caller-bound destination (shape preset; its QuantParams are the output
@@ -293,16 +283,6 @@ class KernelBackend {
   LutView lut_panel(std::span<const std::int8_t> qweights, int n, int k,
                     int bits);
 
-  struct OffsetRow {
-    std::int32_t a_zp;
-    std::span<const std::int32_t> offset;
-  };
-
-  // The registered offset row for `key` iff it was computed at `a_zp` with
-  // `n` columns; empty span otherwise (callers then compute into scratch).
-  [[nodiscard]] std::span<const std::int32_t> offset_row(
-      const std::int8_t* key, std::int32_t a_zp, int n) const;
-
   // Affinity assert shared by every op entry point.
   void guard() const { affinity_.check("KernelBackend"); }
 
@@ -316,11 +296,10 @@ class KernelBackend {
   // bit width (index 0: 2-bit, index 1: 4-bit) — a mixed-precision model
   // can hit the same weights at both widths.
   std::unordered_map<const std::int8_t*, LutPanel> lut_panels_[2];
-  // Externally owned (artifact-mapped) panels and precomputed offset rows;
-  // consulted before the build-on-miss caches.
+  // Externally owned (artifact-mapped) panels; consulted before the
+  // build-on-miss caches.
   std::unordered_map<const std::int8_t*, PanelView> adopted_panels_;
   std::unordered_map<const std::int8_t*, LutView> adopted_lut_[2];
-  std::unordered_map<const std::int8_t*, OffsetRow> offset_rows_;
   // AvgPool reciprocal tables keyed by window size, reused across runs.
   std::unordered_map<int, AvgPoolMultipliers> avg_pool_tables_;
 };

@@ -65,7 +65,7 @@ using artifact_detail::ByteWriter;
 namespace {
 
 constexpr char kArtifactMagic[4] = {'Q', 'M', 'C', 'P'};
-constexpr std::uint32_t kArtifactVersion = 1;
+constexpr std::uint32_t kArtifactVersion = 2;
 constexpr std::uint32_t kEndianSentinel = 0x01020304u;
 constexpr std::size_t kHeaderBytes = 64;
 constexpr std::size_t kSectionEntryBytes = 32;
@@ -265,9 +265,6 @@ void compile_to_artifact(const Graph& g, const ActivationQuantConfig& cfg,
                "float artifacts carry no quant config");
   const QuantizedParameters params = QuantizedParameters::build(g, cfg);
   const std::vector<QuantParams> effective = effective_output_params(g, cfg);
-  const std::int32_t a_bias =
-      ops::simd::gemm_activation_bias(ops::simd::kernels());
-
   BlobBuilder blob;
   ByteWriter lidx;
   std::uint32_t records = 0;
@@ -282,10 +279,8 @@ void compile_to_artifact(const Graph& g, const ActivationQuantConfig& cfg,
     std::uint32_t flags = 0;
     int n = 0;
     std::int64_t k = 0;
-    std::int32_t a_zp = 0;
     std::vector<std::int8_t> bt;
     std::vector<std::int32_t> wsum;
-    std::vector<std::int32_t> offr;
     std::vector<std::int8_t> lut2, lut4;
     if (l.kind != OpKind::DepthwiseConv2D) {
       flags |= kLayerHasPanel;
@@ -299,19 +294,6 @@ void compile_to_artifact(const Graph& g, const ActivationQuantConfig& cfg,
       ops::pack_weights_kmajor(qw, n, static_cast<int>(k), bt.data());
       wsum.resize(static_cast<std::size_t>(n));
       ops::weight_column_sums(qw, n, static_cast<int>(k), wsum.data());
-      // The per-column requantization offset bias[j] − a_zp·wsum[j] — the
-      // only kernel-generation-dependent table (dot-product GEMMs shift
-      // activations by gemm_a_bias). Baked for the writer's generation;
-      // the loader re-derives on a fingerprint mismatch.
-      a_zp = effective[static_cast<std::size_t>(l.inputs[0])].zero_point +
-             a_bias;
-      offr.resize(static_cast<std::size_t>(n));
-      for (int j = 0; j < n; ++j) {
-        const std::int32_t bj =
-            bias.empty() ? 0 : bias[static_cast<std::size_t>(j)];
-        offr[static_cast<std::size_t>(j)] =
-            bj - a_zp * wsum[static_cast<std::size_t>(j)];
-      }
       // LUT recode tables for the widths the writer's dispatch mode plans
       // (mirrors prepack_conv_panels): generation-independent weight data.
       if (ops::lut::lut_planned(in_bits)) {
@@ -328,7 +310,6 @@ void compile_to_artifact(const Graph& g, const ActivationQuantConfig& cfg,
     lidx.u32(flags);
     lidx.i32(n);
     lidx.i64(k);
-    lidx.i32(a_zp);
     lidx.f32(params.weights[i].params.scale);
     lidx.u64(blob.add(qw.data(), qw.size_bytes()));
     lidx.u64(qw.size());
@@ -337,8 +318,6 @@ void compile_to_artifact(const Graph& g, const ActivationQuantConfig& cfg,
     lidx.u64(bt.empty() ? 0 : blob.add(bt.data(), bt.size()));
     lidx.u64(wsum.empty() ? 0
                           : blob.add(wsum.data(), wsum.size() * 4));
-    lidx.u64(offr.empty() ? 0
-                          : blob.add(offr.data(), offr.size() * 4));
     lidx.u64(lut2.empty() ? 0 : blob.add(lut2.data(), lut2.size()));
     lidx.u64(lut2.size());
     lidx.u64(lut4.empty() ? 0 : blob.add(lut4.data(), lut4.size()));
@@ -501,10 +480,9 @@ std::shared_ptr<const PlanArtifact> PlanArtifact::map(
     return art;
   }
 
-  // Quant kinds: parameters, panels, LUT tables and offset rows are all
-  // span views into the mapping (zero copy). Offset rows are the one
-  // generation-dependent table; on a fingerprint mismatch they are
-  // re-derived here into private memory — everything else loads as-is.
+  // Quant kinds: parameters, panels and LUT tables are all span views into
+  // the mapping (zero copy) and generation-independent, so they load as-is
+  // under any kernel generation.
   {
     const std::span<const std::uint8_t> qcfg =
         section_of(kTagQuantConfig, "QCFG");
@@ -514,11 +492,6 @@ std::shared_ptr<const PlanArtifact> PlanArtifact::map(
   }
   QMCU_REQUIRE(static_cast<int>(art->config_->params.size()) == g.size(),
                "artifact quant config does not cover the graph");
-  const std::vector<QuantParams> effective =
-      effective_output_params(g, *art->config_);
-  const std::int32_t a_bias_now =
-      ops::simd::gemm_activation_bias(ops::simd::kernels());
-
   auto params = std::make_shared<QuantizedParameters>();
   params->weights.resize(static_cast<std::size_t>(g.size()));
   params->bias.resize(static_cast<std::size_t>(g.size()));
@@ -534,7 +507,6 @@ std::shared_ptr<const PlanArtifact> PlanArtifact::map(
     const std::uint32_t flags = r.u32();
     const std::int32_t n = r.i32();
     const std::int64_t k = r.i64();
-    const std::int32_t baked_a_zp = r.i32();
     const float wscale = r.f32();
     QMCU_REQUIRE(wscale > 0.0f, "invalid weight scale in artifact");
     const std::uint64_t qw_off = r.u64();
@@ -543,7 +515,6 @@ std::shared_ptr<const PlanArtifact> PlanArtifact::map(
     const std::uint64_t bias_count = r.u64();
     const std::uint64_t panel_off = r.u64();
     const std::uint64_t wsum_off = r.u64();
-    const std::uint64_t offr_off = r.u64();
     const std::uint64_t lut2_off = r.u64();
     const std::uint64_t lut2_size = r.u64();
     const std::uint64_t lut4_off = r.u64();
@@ -578,34 +549,6 @@ std::shared_ptr<const PlanArtifact> PlanArtifact::map(
           {qw,
            std::span<const std::int8_t>(bt, static_cast<std::size_t>(k * n)),
            wsum_span});
-
-      const std::int32_t a_zp_now =
-          effective[static_cast<std::size_t>(l.inputs[0])].zero_point +
-          a_bias_now;
-      const auto* offr = reinterpret_cast<const std::int32_t*>(blob_bytes(
-          offr_off, static_cast<std::uint64_t>(n) * 4, alignof(std::int32_t)));
-      if (a_zp_now == baked_a_zp) {
-        bundle->offsets.push_back(
-            {qw, baked_a_zp,
-             std::span<const std::int32_t>(offr,
-                                           static_cast<std::size_t>(n))});
-      } else {
-        // Kernel-generation mismatch: re-derive this small row for the
-        // running generation (offset[j] = bias[j] − a_zp·wsum[j]).
-        std::vector<std::int32_t> row(static_cast<std::size_t>(n));
-        for (int j = 0; j < n; ++j) {
-          const std::int32_t bj =
-              params->bias[i].empty()
-                  ? 0
-                  : params->bias[i][static_cast<std::size_t>(j)];
-          row[static_cast<std::size_t>(j)] =
-              bj - a_zp_now * wsum_span[static_cast<std::size_t>(j)];
-        }
-        art->rederived_offsets_.push_back(std::move(row));
-        bundle->offsets.push_back(
-            {qw, a_zp_now,
-             std::span<const std::int32_t>(art->rederived_offsets_.back())});
-      }
 
       const auto adopt_lut = [&](int bits, std::uint64_t off,
                                  std::uint64_t len) {

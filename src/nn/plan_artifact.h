@@ -2,7 +2,7 @@
 //
 // A CompiledQuantModel performs real work at construction: weight
 // quantization, bias rescaling, k-major panel packing, LUT recode tables,
-// zero-point offset rows, and the arena placement pass. compile_to_artifact
+// and the arena placement pass. compile_to_artifact
 // runs all of it once, offline, and serializes the results into a single
 // binary file; load_compiled mmaps that file read-only (MAP_SHARED) and
 // constructs a model whose weight, panel and table storage is *span views
@@ -22,8 +22,8 @@
 //               PLAN  the construction-time ArenaPlan
 //               FIDX  float parameter index (Float kind)
 //               BLOB  all bulk data: quantized weights, int32 biases,
-//                     k-major panels, column sums, offset rows, LUT
-//                     tables, float parameters — each blob 64-aligned
+//                     k-major panels, column sums, LUT tables, float
+//                     parameters — each blob 64-aligned
 //               (+ caller sections, e.g. the patch artifact's PTCH/BBIA)
 //
 // Every section carries a CRC32 verified at map time before any byte is
@@ -31,12 +31,13 @@
 //
 // The header records the *kernel generation* the artifact was baked under
 // (scalar / pair-madd / dot-product GEMM and which LUT widths were
-// planned). Panels, column sums and LUT tables are generation-independent
-// (pure weight recodes); only the per-column offset rows depend on the
-// activation zero-point bias of the dot-product generations. On a
-// fingerprint mismatch the loader re-derives just those rows into private
-// memory — an artifact baked on an AVX-VNNI host loads bit-exactly under
-// QMCU_FORCE_NO_DOT, on NEON, or on plain AVX2.
+// planned), for inspection only. Everything baked is generation-independent
+// (pure weight recodes); the per-column requantization offsets, which
+// depend on the running generation's activation bias and on the bias a
+// call actually passes, are computed per call by the kernels — so an
+// artifact baked on an AVX-VNNI host loads bit-exactly under
+// QMCU_FORCE_NO_DOT, on NEON, or on plain AVX2. Files of another format
+// version are rejected.
 #pragma once
 
 #include <cstdint>
@@ -113,7 +114,8 @@ class PlanArtifact {
     return fingerprint_;
   }
   // False when the artifact was baked under a different kernel generation
-  // than this process dispatches (the loader then re-derived offset rows).
+  // than this process dispatches (informational: the artifact still loads
+  // bit-exactly).
   [[nodiscard]] bool fingerprint_matches() const {
     return fingerprint_ == KernelFingerprint::current();
   }
@@ -160,9 +162,6 @@ class PlanArtifact {
   std::shared_ptr<const QuantizedParameters> params_;
   std::shared_ptr<const PrecompiledBundle> bundle_;
   ArenaPlan plan_;
-  // Offset rows recomputed at map time when the baked kernel generation
-  // differs from the running one (the only generation-dependent data).
-  std::vector<std::vector<std::int32_t>> rederived_offsets_;
 };
 
 // Artifact + model under shared ownership: the mapping outlives every view.

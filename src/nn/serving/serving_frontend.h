@@ -50,7 +50,9 @@
 // frame would force a full recompute and cost more than running it, and a
 // degraded (different worker count) run is incompatible with the stream's
 // pinned arena layout. Back-pressure for streams belongs at the source
-// (skip capture frames, not queued ones).
+// (skip capture frames, not queued ones). A front-end may be destroyed with
+// streams still open and frames still queued: queued frames run first, and
+// the arena slab outlives every stream's retained lease.
 #pragma once
 
 #include <atomic>
@@ -179,6 +181,7 @@ class ServingFrontend {
             pinned_lanes_.fetch_add(1, std::memory_order_relaxed);
           }
         });
+    slab_ = pool_->slab();
   }
 
   ServingFrontend(const ServingFrontend&) = delete;
@@ -371,7 +374,7 @@ class ServingFrontend {
   [[nodiscard]] const ServingConfig& config() const { return cfg_; }
   [[nodiscard]] int num_sessions() const { return pool_->num_sessions(); }
   [[nodiscard]] const std::shared_ptr<ArenaSlab>& slab() const {
-    return pool_->slab();
+    return slab_;
   }
   // Per-lane request counts (read when no traffic is in flight).
   [[nodiscard]] std::vector<std::uint64_t> per_session_requests() const {
@@ -468,6 +471,10 @@ class ServingFrontend {
   // Lane -> WorkerPool slice (empty when the model has no pool-run entry
   // point or the budget gives each lane a single worker).
   std::vector<std::unique_ptr<WorkerPool>> pools_;
+  // The pool's arena slab, declared before streams_ so it outlives every
+  // stream's retained lease: open streams (and frames still queued, which
+  // the pool drains on destruction) release their blocks into a live slab.
+  std::shared_ptr<ArenaSlab> slab_;
   std::mutex stream_mu_;
   std::map<std::uint64_t, StreamEntry> streams_;
   std::uint64_t next_stream_id_ = 1;

@@ -1,8 +1,17 @@
 // compiled_patch_model.h — compile-once / run-many patch-based inference
 // against one static tensor arena, sequentially or across a worker pool.
 //
-// The patch executors walk every dataflow branch allocating a fresh region
-// tensor per step per run. A compiled patch model plans, once:
+// Patch-based inference is one dataflow at every precision: each branch
+// computes its patch region step by step, merges its tile into the
+// reassembled cut-layer map, and the tail then runs once over that map.
+// patch::PatchRuntime<Traits> owns that dataflow; the precision traits
+// (FloatPatchTraits, QuantPatchTraits) supply only what differs — the
+// tensor type and slot binding, input staging, the per-step kernel calls
+// and their bias/params/pool tables, the whole-layer call, lane prepacking
+// and the post-run stats hook. CompiledPatchModel and
+// CompiledPatchQuantModel are the two instantiations.
+//
+// Compilation plans, once:
 //
 //   * one arena slot per branch *step index*, sized to the largest region
 //     any branch computes at that step (branches share the slot layout —
@@ -20,34 +29,30 @@
 // single arena the way the deployed runtime lays out SRAM.
 //
 // Parallel run(input, pool): a dependency-driven task graph over a
-// nn::WorkerPool. Stage-1 branches are spatially independent — their only
-// interaction is the final merge into *disjoint* tiles of the assembled
-// map — so they become independent tasks (cost-weighted: cheap border
-// branches coalesce into one task, see patch::weighted_chunks). The tail
-// no longer waits for the full branch barrier: each early tail layer is
-// split into row-band tasks whose input-row intervals come from
-// patch::receptive_field, and a band depends only on the branch tasks (and
-// upstream bands) that produce those rows — so the tail starts on spare
+// nn::WorkerPool. Branches are spatially independent — their only
+// interaction is the merge into *disjoint* tiles of the assembled map — so
+// they become independent tasks (cost-weighted: cheap border branches
+// coalesce into one task, see patch::weighted_chunks). Each early tail
+// layer is split into row-band tasks whose input-row intervals come from
+// patch::receptive_field; a band depends only on the branch tasks (and
+// upstream bands) that produce its rows, so the tail starts on spare
 // workers while interior branches are still running. Tail layers that need
 // the whole map (GlobalAvgPool, FullyConnected, Softmax) and everything
 // after them run as one final task behind the graph's join.
 //
-// The arena uses the nn::ParallelArenaPlan layout: one private branch-slot
-// slice per worker followed by one shared region (assembled map, tail
-// slots, quantized input). For the pipelined graph the shared region is
-// planned by ArenaPlanner::plan_pipelined, which widens the lifetimes of
-// everything live during the overlap window (assembled map, quantized
-// input, banded tail layers) so no tail band can recycle bytes a
-// still-running branch reads or writes. Each worker lane owns a WorkerCtx
-// (KernelBackend with its own scratch + panel cache, crop arena, step
-// views) handed to its thread at dispatch via the backend's
-// thread-affinity guard; the merge is the lock-free tiled merge of
-// region_pool.h, and the scheduler's dependency edges publish merged rows
-// to the bands that read them. Outputs are bit-identical to the sequential
-// path for every worker count and every readiness order (the kernels see
-// the same values; only which thread runs them, and when, changes); a
-// null/1-worker pool takes the sequential code path exactly, and
-// run_barrier keeps the PR-3 two-phase runtime for comparison.
+// The parallel arena uses the nn::ParallelArenaPlan layout: one private
+// branch-slot slice per worker followed by one shared region (assembled
+// map, tail slots, quantized input), planned by
+// ArenaPlanner::plan_pipelined so that nothing live during the overlap
+// window shares bytes. Each worker lane owns its KernelBackend (scratch +
+// panel cache), crop arena and step views, handed to its thread at
+// dispatch via the backend's thread-affinity guard. Outputs are
+// bit-identical to the sequential path for every worker count and every
+// readiness order; a null/1-worker pool takes the sequential path exactly.
+//
+// run_streaming() reuses the same graph over a retained arena (see
+// StreamState): clean branches and tail bands downstream of unchanged rows
+// are skipped.
 //
 // Halo crop temporaries are scratch (a grow-only pool reused across steps),
 // not feature maps, and are accounted via scratch_bytes().
@@ -81,8 +86,7 @@ struct BranchQuantConfig {
 // One row-banded tail layer of the pipelined dataflow graph: the layer's
 // output rows are split into `bands`; band j's tasks depend on whatever
 // produces its input rows (branch tasks for the first tail layer, upstream
-// bands after that). Computed once at compile time — see
-// CompiledPatchModel's pipeline planning.
+// bands after that). Computed once at compile time (build_pipelined_tail).
 struct PipelinedTailLayer {
   int layer_id = -1;
   std::vector<Interval> bands;  // output row intervals, in order
@@ -97,8 +101,8 @@ struct PipelinedTailLayer {
 // maximal run of tail layers after the cut that are row-splittable
 // (windowed, pooling, element-wise or concat ops), each split into
 // `bands_per_layer` row bands (clamped to the layer's height), with
-// dependencies resolved through patch::receptive_field. Shared by the
-// float and quantized compiled models.
+// dependencies resolved through patch::receptive_field. Used by
+// PatchRuntime and the patch-artifact writer.
 std::vector<PipelinedTailLayer> build_pipelined_tail(
     const nn::Graph& g, const PatchPlan& plan, int bands_per_layer);
 
@@ -115,7 +119,7 @@ std::vector<std::vector<std::vector<std::int32_t>>> build_branch_bias(
 
 // Construction-time products precomputed by the plan-artifact loader:
 // mixed-mode branch biases, the row-banded pipeline structure, and the
-// panel/offset bundle every lane backend adopts (see nn::PrecompiledBundle).
+// panel/LUT bundle every lane backend adopts (see nn::PrecompiledBundle).
 // Empty members fall back to in-constructor computation.
 struct PrecompiledPatchParts {
   std::vector<std::vector<std::vector<std::int32_t>>> branch_bias;
@@ -169,7 +173,6 @@ struct StreamState {
     owned.clear();
     row_changed.reset();
     band_changed.reset();
-    band_offset.clear();
     workers = 0;
     primed = false;
   }
@@ -183,52 +186,182 @@ struct StreamState {
   // tail bands recomputed (relaxed atomics — the task graph's dependency
   // edges order every read after the writes it needs).
   std::unique_ptr<std::atomic<char>[]> row_changed;
-  std::unique_ptr<std::atomic<char>[]> band_changed;
-  std::vector<int> band_offset;  // band_changed index base per tail layer
+  std::unique_ptr<std::atomic<char>[]> band_changed;  // flat, per band
   std::atomic<char> any_changed{0};
   std::atomic<std::int64_t> branches_run{0};
   std::atomic<std::int64_t> bands_run{0};
 };
 
-// --- float -----------------------------------------------------------------
+// --- precision traits ------------------------------------------------------
+//
+// A traits class is PatchRuntime's base: it holds the precision-specific
+// state and supplies the hooks the runtime calls. Hooks taking a branch
+// index treat branch < 0 as "a tail layer".
 
-class CompiledPatchModel {
+// Float tensors carry no quantization parameters.
+struct Unquantized {};
+
+class FloatPatchTraits {
  public:
-  CompiledPatchModel(const nn::Graph& g, PatchPlan plan,
-                     nn::ops::KernelTier tier = nn::ops::KernelTier::Simd);
+  using Tensor = nn::Tensor;
+  using Params = Unquantized;
 
-  [[nodiscard]] nn::Tensor run(const nn::Tensor& input) const;
-  // Pipelined dataflow run: stage-1 branch tasks and tail row-band tasks
-  // scheduled as one dependency graph over `pool` (see the header
-  // comment). Bit-identical to run() for every worker count and readiness
-  // order. A null pool or a 1-worker pool takes the sequential path
-  // exactly.
-  [[nodiscard]] nn::Tensor run(const nn::Tensor& input,
-                               nn::WorkerPool* pool) const;
-  // The PR-3 two-phase runtime: branch barrier, then the whole tail on the
-  // calling thread. Kept as the pipelined path's comparison baseline (and
-  // BM_ParallelPatchRun's subject). Bit-identical to run().
-  [[nodiscard]] nn::Tensor run_barrier(const nn::Tensor& input,
-                                       nn::WorkerPool* pool) const;
+ protected:
+  static constexpr std::int64_t kElemBytes = sizeof(float);
+  static constexpr bool kStagesInput = false;  // reads the caller's tensor
+
+  explicit FloatPatchTraits(const nn::Graph& g) : graph_(&g) {}
+
+  Params branch_params(int, int, int) const { return {}; }
+  Params layer_params(int) const { return {}; }
+  const Tensor& stage_input(const nn::Tensor& input, std::uint8_t*,
+                            const nn::ArenaSlot*, std::int64_t&) const {
+    return input;
+  }
+  void input_tile(nn::ops::KernelBackend& backend,
+                  nn::ops::ScratchArena& crops, const Tensor& input,
+                  const Region& region, Tensor& out) const;
+  void conv(nn::ops::KernelBackend& backend, const Tensor& in,
+            const nn::Layer& local, int layer_id, int branch, int step,
+            Tensor& out) const;
+  void pool(const Tensor& in, const Region& avail, const nn::Layer& l,
+            const Region& want, const nn::TensorShape& full,
+            Tensor& out) const;
+  void run_layer(int id, std::vector<Tensor>& memo,
+                 nn::ops::KernelBackend& backend) const;
+  // The float conv path packs its panel into scratch per call: nothing to
+  // adopt or prepack, and no stats hook.
+  void adopt_kernels(nn::ops::KernelBackend&) const {}
+  void prepack_lane(nn::ops::KernelBackend&, const PatchPlan&) const {}
+  void after_run(int, std::span<const Tensor>) const {}
+
+  const nn::Graph* graph_;
+};
+
+class QuantPatchTraits {
+ public:
+  using Tensor = nn::QTensor;
+  using Params = nn::QuantParams;
+
+  // Opt-in activation statistics: called once per completed run on the
+  // calling thread, for the assembled cut layer and every tail layer, with
+  // the layer's output view (drift tracking — see
+  // nn::streaming::ActivationStatsTracker). Null clears it.
+  void set_stats_hook(
+      std::function<void(int, const nn::QTensor&)> hook) const {
+    stats_hook_ = std::move(hook);
+  }
+  [[nodiscard]] const std::shared_ptr<const nn::QuantizedParameters>&
+  shared_parameters() const {
+    return params_;
+  }
+  // Compile-time tables, exposed so the owning executor's legacy paths
+  // reuse them instead of rebuilding their own copies.
+  [[nodiscard]] const nn::ActivationQuantConfig& config() const {
+    return cfg_;
+  }
+  [[nodiscard]] std::span<const nn::QuantParams> effective_params() const {
+    return effective_;
+  }
+  [[nodiscard]] std::span<const BranchQuantConfig> branch_configs() const {
+    return branch_cfgs_;
+  }
+  [[nodiscard]] const std::vector<std::vector<std::vector<std::int32_t>>>&
+  branch_bias() const {
+    return branch_bias_;
+  }
+
+ protected:
+  static constexpr std::int64_t kElemBytes = 1;
+  static constexpr bool kStagesInput = true;  // quantized into its own slot
+
+  QuantPatchTraits(const nn::Graph& g, nn::ActivationQuantConfig cfg,
+                   std::vector<BranchQuantConfig> branch_cfgs,
+                   std::shared_ptr<const nn::QuantizedParameters> params,
+                   std::shared_ptr<const nn::PrecompiledBundle> bundle);
+
+  // Mixed mode: the branch's per-step override; uniform mode: the
+  // pool-propagated effective params of the step's layer.
+  const Params& branch_params(int branch, int step, int layer_id) const;
+  const Params& layer_params(int id) const {
+    return effective_[static_cast<std::size_t>(id)];
+  }
+  const Tensor& stage_input(const nn::Tensor& input, std::uint8_t* base,
+                            const nn::ArenaSlot* slot,
+                            std::int64_t& measured) const;
+  void input_tile(nn::ops::KernelBackend& backend,
+                  nn::ops::ScratchArena& crops, const Tensor& input,
+                  const Region& region, Tensor& out) const;
+  void conv(nn::ops::KernelBackend& backend, const Tensor& in,
+            const nn::Layer& local, int layer_id, int branch, int step,
+            Tensor& out) const;
+  void pool(const Tensor& in, const Region& avail, const nn::Layer& l,
+            const Region& want, const nn::TensorShape& full,
+            Tensor& out) const;
+  void run_layer(int id, std::vector<Tensor>& memo,
+                 nn::ops::KernelBackend& backend) const;
+  void adopt_kernels(nn::ops::KernelBackend& backend) const {
+    if (bundle_ != nullptr) bundle_->apply(backend);
+  }
+  void prepack_lane(nn::ops::KernelBackend& backend,
+                    const PatchPlan& plan) const;
+  void after_run(int first_layer, std::span<const Tensor> memo) const;
+
+  const nn::Graph* graph_;
+  nn::ActivationQuantConfig cfg_;
+  std::vector<nn::QuantParams> effective_;
+  std::vector<BranchQuantConfig> branch_cfgs_;  // empty = uniform mode
+  std::vector<std::vector<std::vector<std::int32_t>>> branch_bias_;
+  std::shared_ptr<const nn::QuantizedParameters> params_;
+  // Artifact bundle adopted by every backend (keeps the panel views
+  // registered with them alive).
+  std::shared_ptr<const nn::PrecompiledBundle> bundle_;
+  // AvgPool reciprocal tables keyed by window size. Filled at construction
+  // for every window the graph contains, then read-only — several workers
+  // share them concurrently during parallel runs.
+  std::unordered_map<int, nn::ops::AvgPoolMultipliers> pool_tables_;
+  mutable std::function<void(int, const nn::QTensor&)> stats_hook_;
+  mutable nn::QTensor qinput_;  // the staged quantized input view
+};
+
+// --- the runtime -------------------------------------------------------------
+
+template <class Traits>
+class PatchRuntime : public Traits {
+ public:
+  using Tensor = typename Traits::Tensor;
+
+  [[nodiscard]] Tensor run(const nn::Tensor& input) const {
+    return execute(input, nullptr, nullptr);
+  }
+  // Pipelined dataflow run: branch tasks and tail row-band tasks scheduled
+  // as one dependency graph over `pool` (see the header comment).
+  // Bit-identical to run() for every worker count and readiness order. A
+  // null pool or a 1-worker pool takes the sequential path exactly.
+  [[nodiscard]] Tensor run(const nn::Tensor& input,
+                           nn::WorkerPool* pool) const {
+    return execute(input, pool, nullptr);
+  }
   // Temporal-reuse run over `state` (see StreamState): only branches with
   // state.branch_dirty set are recomputed — clean branches contribute
   // their retained assembled-map tiles for free — and tail row-bands whose
   // upstream grid rows merged no new bytes are skipped, as is the
   // non-banded rest of the tail when nothing changed at all. Bit-identical
   // to run() on the same frame for every worker count, provided the dirty
-  // mask is conservative (patch::dirty_branches exact mode). A null pool
-  // or 1-worker pool streams sequentially over the same retained layout.
-  [[nodiscard]] nn::Tensor run_streaming(const nn::Tensor& input,
-                                         nn::WorkerPool* pool,
-                                         StreamState& state) const;
+  // mask is conservative (patch::dirty_branches exact mode; quantized
+  // models quantize deterministically per element, so the mask computed on
+  // float frames holds). A null pool or 1-worker pool streams sequentially
+  // over the same retained layout.
+  [[nodiscard]] Tensor run_streaming(const nn::Tensor& input,
+                                     nn::WorkerPool* pool,
+                                     StreamState& state) const {
+    return execute(input, pool, &state);
+  }
 
   [[nodiscard]] const nn::ArenaPlan& arena_plan() const { return aplan_; }
   [[nodiscard]] std::int64_t arena_bytes() const { return aplan_.peak_bytes; }
-  // The slice/shared layout a barrier-parallel run with `num_workers`
-  // binds (cached per worker count; also what tests assert non-overlap
-  // on), and the widened-lifetime layout the pipelined graph binds.
-  [[nodiscard]] const nn::ParallelArenaPlan& parallel_plan(
-      int num_workers) const;
+  // The widened-lifetime slice/shared layout the pipelined graph binds for
+  // `num_workers` lanes (cached per worker count).
   [[nodiscard]] const nn::ParallelArenaPlan& pipelined_plan(
       int num_workers) const;
   // The retained streaming layout: shared lifetimes widened to the whole
@@ -250,124 +383,152 @@ class CompiledPatchModel {
   void set_arena_source(std::shared_ptr<nn::ArenaSlab> slab) {
     arena_source_ = std::move(slab);
   }
-  // Test-only: called after each branch finishes (merge included) inside
-  // parallel runs, before its completion is published to dependents —
-  // tests stall chosen branches here to force adversarial readiness
-  // orders. Not for production use.
+  // Test-only: called after each branch finishes (merge included), before
+  // its completion is published to dependents — tests stall chosen
+  // branches here to force adversarial readiness orders.
   void set_branch_completion_hook(std::function<void(int)> hook) const {
     branch_hook_ = std::move(hook);
   }
   [[nodiscard]] std::int64_t measured_high_water() const { return measured_; }
   // Crop-temporary + backend scratch held after the last run, including
-  // every worker context's share.
+  // every worker lane's share.
   [[nodiscard]] std::int64_t scratch_bytes() const;
   [[nodiscard]] const PatchPlan& plan() const { return plan_; }
-  [[nodiscard]] const nn::Graph& graph() const { return *graph_; }
+  [[nodiscard]] const nn::Graph& graph() const { return *this->graph_; }
   // Shared with the owning executor's legacy (hooked) paths so only one
   // scratch arena + weight-panel cache exists per executor.
-  [[nodiscard]] nn::ops::KernelBackend& backend() const { return backend_; }
+  [[nodiscard]] nn::ops::KernelBackend& backend() const {
+    return main_.backend;
+  }
+
+ protected:
+  template <class... TraitArgs>
+  PatchRuntime(const nn::Graph& g, PatchPlan plan, nn::ops::KernelTier tier,
+               std::vector<PipelinedTailLayer> pipeline,
+               TraitArgs&&... traits)
+      : Traits(g, std::forward<TraitArgs>(traits)...),
+        plan_(std::move(plan)),
+        main_(tier) {
+    compile(std::move(pipeline));
+  }
 
  private:
-  // One worker lane's private execution state. The backend (scratch +
-  // panel cache) and crop arena are thread-affine; dispatch rebinds them to
-  // whichever pool thread runs the lane.
-  struct WorkerCtx {
-    explicit WorkerCtx(nn::ops::KernelTier tier) : backend(tier) {}
+  // One execution lane's private state. The backend (scratch + panel
+  // cache) and crop arena are thread-affine; each run rebinds them to
+  // whichever thread runs the lane.
+  struct Lane {
+    explicit Lane(nn::ops::KernelTier tier) : backend(tier) {}
     nn::ops::KernelBackend backend;
     nn::ops::ScratchArena crops;
-    std::vector<nn::Tensor> step_views;
+    std::vector<Tensor> step_views;  // per step, rebound per branch
     std::int64_t measured = 0;  // furthest byte written inside the slice
   };
 
+  void compile(std::vector<PipelinedTailLayer> pipeline);
+  Lane& worker_lane(int lane) const;
+  void ready_lane(Lane& lane) const;
+  // The run arena: leased from the slab when one is attached, else the
+  // grow-only `owned` buffer. `retained` (a primed stream) forbids growth.
+  std::span<std::uint8_t> bind_arena(std::int64_t need,
+                                     nn::ArenaSlab::Lease& lease,
+                                     std::vector<std::uint8_t>& owned,
+                                     bool retained) const;
+  // Every entry point: validate, pick and bind the layout, run the branch
+  // phase and the tail sequentially or as the task graph, then the
+  // post-run hook. `stream` selects the retained streaming layout.
+  Tensor execute(const nn::Tensor& input, nn::WorkerPool* pool,
+                 StreamState* stream) const;
+  // Stages the input and binds the assembled map + every tail layer's view
+  // over `shared` (tail slots first, then the assembled map and the
+  // quantized input) at `base`.
+  void stage(const nn::Tensor& input, std::uint8_t* base,
+             std::span<const nn::ArenaSlot> shared,
+             std::int64_t& measured) const;
   // Runs one branch's steps against the slot layout `slots` (indices equal
-  // step indices) at `base`, then merges the final tile into `assembled`.
-  // With `merge_changed` set the merge compares before writing and reports
-  // whether any assembled byte changed (streaming change propagation).
-  void exec_branch(const PatchBranch& branch, const nn::Tensor& input,
-                   std::uint8_t* base, std::span<const nn::ArenaSlot> slots,
-                   nn::ops::KernelBackend& backend,
-                   nn::ops::ScratchArena& crops,
-                   std::span<nn::Tensor> step_views, std::int64_t& measured,
-                   nn::Tensor& assembled,
-                   bool* merge_changed = nullptr) const;
-  // Binds the assembled map + every tail layer's view into tail_memo_.
-  void bind_tail(std::uint8_t* base, std::span<const nn::ArenaSlot> slots,
-                 int first_tail_slot, int assembled_slot,
-                 std::int64_t& measured) const;
-  // Layer-based tail against slots [first_tail_slot ..) of `slots`.
-  nn::Tensor exec_tail(std::uint8_t* base,
-                       std::span<const nn::ArenaSlot> slots,
-                       int first_tail_slot, int assembled_slot,
-                       std::int64_t& measured) const;
+  // step indices) at `base`, then merges the final tile into the assembled
+  // map. With `merge_changed` set the merge compares before writing and
+  // reports whether any assembled byte changed.
+  void exec_branch(std::int64_t b, std::uint8_t* base,
+                   std::span<const nn::ArenaSlot> slots, Lane& lane,
+                   bool* merge_changed) const;
+  // exec_branch plus the streaming dirty/changed bookkeeping and the hook.
+  void run_branch(std::int64_t b, std::uint8_t* base,
+                  std::span<const nn::ArenaSlot> slots, Lane& lane,
+                  StreamState* stream) const;
   // Computes output rows `rows` of banded tail layer `layer_id` from the
-  // pre-bound tail views on the given backend/crops (a row-band task body;
-  // sequential streaming drives it on the model's own context).
-  void exec_tail_band(int layer_id, const Interval& rows,
-                      nn::ops::KernelBackend& backend,
-                      nn::ops::ScratchArena& crops) const;
-  WorkerCtx& worker_ctx(int lane) const;
-  std::span<std::uint8_t> bind_run_arena(std::int64_t need,
-                                         nn::ArenaSlab::Lease& lease) const;
-  // Streaming internals: size `state` for this plan and pin its worker
-  // count; arena binding that retains the lease/buffer across frames; the
-  // band-skip predicate and the change-propagation marks (see StreamState).
-  void prime_stream_state(StreamState& state, int workers) const;
-  std::span<std::uint8_t> bind_stream_arena(std::int64_t need,
-                                            StreamState& state) const;
-  bool stream_band_needed(const StreamState& state, std::size_t pi,
-                          std::size_t j) const;
-  void stream_mark_branch(StreamState& state, std::int64_t b,
-                          bool changed) const;
-  void stream_mark_band(StreamState& state, std::size_t pi,
-                        std::size_t j) const;
+  // pre-bound tail views.
+  void exec_tail_band(int layer_id, const Interval& rows, Lane& lane) const;
+  // Band j of banded layer pi, unless a stream frame can skip it.
+  void run_band(std::size_t pi, std::size_t j, Lane& lane,
+                StreamState* stream) const;
+  // The non-banded rest of the tail (skipped by unchanged stream frames).
+  void run_rest(Lane& lane, const StreamState* stream) const;
+  // The whole run on the calling thread's lane (sequential run and
+  // single-lane streaming).
+  void run_inline(std::uint8_t* base, std::span<const nn::ArenaSlot> slice,
+                  StreamState* stream) const;
   // The cached dataflow graph for `num_workers` lanes. Its task bodies
-  // capture only `this`: per-run state (input, arena base, plan) is
+  // capture only `this`: per-run state (arena base, plan, stream) is
   // staged in the run_* members before dispatch, so the graph — chunking,
   // band wiring, join — is built once per worker count, not per run.
   nn::TaskGraph& pipeline_graph(int num_workers) const;
+  // Streaming internals: size `state` for this plan, pin its worker count
+  // and reset the frame's change flags; the band-skip predicate and the
+  // change-propagation marks.
+  void begin_stream_frame(StreamState& state, int workers) const;
+  bool stream_band_needed(const StreamState& state, std::size_t pi,
+                          std::size_t j) const;
+  void stream_mark_band(StreamState& state, std::size_t pi,
+                        std::size_t j) const;
 
-  const nn::Graph* graph_;
   PatchPlan plan_;
   int num_steps_ = 0;       // steps per branch (identical across branches)
   int assembled_slot_ = 0;  // request index of the reassembled cut layer
+  int input_slot_ = -1;     // request index of the staged input, if any
   nn::ArenaPlan aplan_;
-  // Request lists feeding parallel_plan(): branch-step slots (per-worker
-  // slice) and tail + assembled slots (shared region).
+  // Request lists of the parallel layouts: branch-step slots (per-worker
+  // slice) and tail + assembled (+ input) slots (shared region).
   std::vector<nn::ArenaRequest> slice_requests_;
   std::vector<nn::ArenaRequest> shared_requests_;
-  int par_assembled_slot_ = 0;  // index into the shared request list
   // Pipelined dataflow structure: banded tail prefix, branch pricing for
   // cost-weighted task chunking, and the timeline step of the last banded
   // layer (the lifetime-widening horizon of plan_pipelined).
   std::vector<PipelinedTailLayer> pipeline_;
   std::vector<std::int64_t> branch_costs_;
   int pipeline_horizon_ = 0;
-  mutable std::unordered_map<int, nn::ParallelArenaPlan> pplans_;
+  std::vector<int> band_offset_;  // flat band index base per banded layer
+  int total_bands_ = 0;
   mutable std::unordered_map<int, nn::ParallelArenaPlan> pipelined_pplans_;
   mutable std::unordered_map<int, nn::ParallelArenaPlan> streaming_pplans_;
   mutable std::unordered_map<int, nn::TaskGraph> pipeline_graphs_;
-  // Per-run state read by the cached pipelined graph's tasks; staged
-  // before dispatch (the dispatch barrier publishes it to every lane).
-  // run_stream_ is non-null only while a streaming frame is in flight —
-  // the cached graph serves both modes and checks it per task.
-  mutable const nn::Tensor* run_input_ = nullptr;
+  // Per-run state read by the cached graph's tasks; staged before dispatch
+  // (the dispatch barrier publishes it to every lane). run_stream_ is
+  // non-null only while a streaming frame is in flight.
+  mutable const Tensor* run_input_ = nullptr;
   mutable std::uint8_t* run_data_ = nullptr;
   mutable const nn::ParallelArenaPlan* run_pplan_ = nullptr;
   mutable StreamState* run_stream_ = nullptr;
   std::shared_ptr<nn::ArenaSlab> arena_source_;
   mutable std::function<void(int)> branch_hook_;
-  mutable nn::ops::KernelBackend backend_;
-  mutable nn::ops::ScratchArena crops_;  // halo crop temporaries
-  mutable std::vector<std::unique_ptr<WorkerCtx>> workers_;
+  mutable Lane main_;  // the calling thread's lane
+  mutable std::vector<std::unique_ptr<Lane>> lanes_;  // pool worker lanes
   mutable std::vector<std::uint8_t> arena_;
-  mutable std::vector<nn::Tensor> step_views_;  // per step, rebound per branch
-  mutable std::vector<nn::Tensor> tail_memo_;   // per layer id (tail phase)
+  mutable std::vector<Tensor> tail_memo_;  // per layer id (tail phase)
   mutable std::int64_t measured_ = 0;
 };
 
-// --- quantized -------------------------------------------------------------
+extern template class PatchRuntime<FloatPatchTraits>;
+extern template class PatchRuntime<QuantPatchTraits>;
 
-class CompiledPatchQuantModel {
+// --- the two models ----------------------------------------------------------
+
+class CompiledPatchModel : public PatchRuntime<FloatPatchTraits> {
+ public:
+  CompiledPatchModel(const nn::Graph& g, PatchPlan plan,
+                     nn::ops::KernelTier tier = nn::ops::KernelTier::Simd);
+};
+
+class CompiledPatchQuantModel : public PatchRuntime<QuantPatchTraits> {
  public:
   // Uniform mode: branch steps inherit the per-layer params of `cfg`;
   // mixed mode: `branch_cfgs[b].per_step[s]` overrides branch b's step s.
@@ -388,176 +549,11 @@ class CompiledPatchQuantModel {
       PrecompiledPatchParts parts,
       nn::ops::KernelTier tier = nn::ops::KernelTier::Simd);
 
-  [[nodiscard]] nn::QTensor run(const nn::Tensor& input) const;
-  // Pipelined dataflow run (see CompiledPatchModel::run(input, pool)).
-  [[nodiscard]] nn::QTensor run(const nn::Tensor& input,
-                                nn::WorkerPool* pool) const;
-  // The PR-3 two-phase runtime, kept as the comparison baseline.
-  [[nodiscard]] nn::QTensor run_barrier(const nn::Tensor& input,
-                                        nn::WorkerPool* pool) const;
-  // Temporal-reuse run (see CompiledPatchModel::run_streaming). The dirty
-  // mask is computed on the float frames: quantization is deterministic
-  // per element, so a byte-identical float crop quantizes to a
-  // byte-identical branch input.
-  [[nodiscard]] nn::QTensor run_streaming(const nn::Tensor& input,
-                                          nn::WorkerPool* pool,
-                                          StreamState& state) const;
-
-  [[nodiscard]] const nn::ArenaPlan& arena_plan() const { return aplan_; }
-  [[nodiscard]] std::int64_t arena_bytes() const { return aplan_.peak_bytes; }
-  [[nodiscard]] const nn::ParallelArenaPlan& parallel_plan(
-      int num_workers) const;
-  [[nodiscard]] const nn::ParallelArenaPlan& pipelined_plan(
-      int num_workers) const;
-  // Retained streaming layout (see CompiledPatchModel::streaming_plan).
-  [[nodiscard]] const nn::ParallelArenaPlan& streaming_plan(
-      int num_workers) const;
-  [[nodiscard]] std::span<const PipelinedTailLayer> pipelined_tail() const {
-    return pipeline_;
-  }
-  // Cached pipelined graph skeletons, one per worker count seen (see
-  // CompiledPatchModel::cached_pipeline_graphs).
-  [[nodiscard]] std::size_t cached_pipeline_graphs() const {
-    return pipeline_graphs_.size();
-  }
-  void set_arena_source(std::shared_ptr<nn::ArenaSlab> slab) {
-    arena_source_ = std::move(slab);
-  }
-  // Test-only readiness-order hook (see CompiledPatchModel).
-  void set_branch_completion_hook(std::function<void(int)> hook) const {
-    branch_hook_ = std::move(hook);
-  }
-  // Opt-in activation statistics: called once per completed run on the
-  // calling thread, for the assembled cut layer and every tail layer, with
-  // the layer's output view (drift tracking — see
-  // nn::streaming::ActivationStatsTracker). Null clears it.
-  void set_stats_hook(
-      std::function<void(int, const nn::QTensor&)> hook) const {
-    stats_hook_ = std::move(hook);
-  }
-  [[nodiscard]] std::int64_t measured_high_water() const { return measured_; }
-  [[nodiscard]] std::int64_t scratch_bytes() const;
-  [[nodiscard]] const PatchPlan& plan() const { return plan_; }
-  [[nodiscard]] const nn::Graph& graph() const { return *graph_; }
-  [[nodiscard]] const std::shared_ptr<const nn::QuantizedParameters>&
-  shared_parameters() const {
-    return params_;
-  }
-  // Compile-time tables, exposed so the owning executor's legacy paths
-  // reuse them instead of rebuilding their own copies.
-  [[nodiscard]] const nn::ActivationQuantConfig& config() const {
-    return cfg_;
-  }
-  [[nodiscard]] std::span<const nn::QuantParams> effective_params() const {
-    return effective_;
-  }
-  [[nodiscard]] std::span<const BranchQuantConfig> branch_configs() const {
-    return branch_cfgs_;
-  }
-  [[nodiscard]] const std::vector<std::vector<std::vector<std::int32_t>>>&
-  branch_bias() const {
-    return branch_bias_;
-  }
-  [[nodiscard]] nn::ops::KernelBackend& backend() const { return backend_; }
-  // Params resolution for branch step `step` of branch `branch`: the
-  // mixed-mode per-step override when branch configs exist, otherwise the
-  // pool-propagated effective params of the step's layer. Shared with the
-  // owning executor's legacy path so both resolve identically.
+  // Params resolution for branch step `step` of branch `branch` (see
+  // QuantPatchTraits::branch_params). Shared with the owning executor's
+  // legacy path so both resolve identically.
   [[nodiscard]] const nn::QuantParams& step_params(int branch,
                                                    int step) const;
-
- private:
-  struct WorkerCtx {
-    explicit WorkerCtx(nn::ops::KernelTier tier) : backend(tier) {}
-    nn::ops::KernelBackend backend;
-    nn::ops::ScratchArena crops;
-    std::vector<nn::QTensor> step_views;
-    std::int64_t measured = 0;
-  };
-
-  void exec_branch(int branch_index, const nn::QTensor& qinput,
-                   std::uint8_t* base, std::span<const nn::ArenaSlot> slots,
-                   nn::ops::KernelBackend& backend,
-                   nn::ops::ScratchArena& crops,
-                   std::span<nn::QTensor> step_views, std::int64_t& measured,
-                   nn::QTensor& assembled,
-                   bool* merge_changed = nullptr) const;
-  void bind_tail(std::uint8_t* base, std::span<const nn::ArenaSlot> slots,
-                 int first_tail_slot, int assembled_slot,
-                 std::int64_t& measured) const;
-  nn::QTensor exec_tail(std::uint8_t* base,
-                        std::span<const nn::ArenaSlot> slots,
-                        int first_tail_slot, int assembled_slot,
-                        std::int64_t& measured) const;
-  void exec_tail_band(int layer_id, const Interval& rows,
-                      nn::ops::KernelBackend& backend,
-                      nn::ops::ScratchArena& crops) const;
-  [[nodiscard]] const nn::ops::AvgPoolMultipliers* pool_table(
-      const nn::Layer& l) const;
-  WorkerCtx& worker_ctx(int lane) const;
-  std::span<std::uint8_t> bind_run_arena(std::int64_t need,
-                                         nn::ArenaSlab::Lease& lease) const;
-  // Streaming internals (see CompiledPatchModel).
-  void prime_stream_state(StreamState& state, int workers) const;
-  std::span<std::uint8_t> bind_stream_arena(std::int64_t need,
-                                            StreamState& state) const;
-  bool stream_band_needed(const StreamState& state, std::size_t pi,
-                          std::size_t j) const;
-  void stream_mark_branch(StreamState& state, std::int64_t b,
-                          bool changed) const;
-  void stream_mark_band(StreamState& state, std::size_t pi,
-                        std::size_t j) const;
-  void invoke_stats_hook() const;
-  // Cached dataflow graph per worker count (see CompiledPatchModel).
-  nn::TaskGraph& pipeline_graph(int num_workers) const;
-
-  const nn::Graph* graph_;
-  PatchPlan plan_;
-  nn::ActivationQuantConfig cfg_;
-  std::vector<nn::QuantParams> effective_;
-  std::vector<BranchQuantConfig> branch_cfgs_;  // empty = uniform mode
-  std::vector<std::vector<std::vector<std::int32_t>>> branch_bias_;
-  std::shared_ptr<const nn::QuantizedParameters> params_;
-  // Artifact bundle adopted by backend_ and every worker lane (keeps the
-  // panel/offset views registered with the backends alive).
-  std::shared_ptr<const nn::PrecompiledBundle> bundle_;
-  int num_steps_ = 0;
-  int assembled_slot_ = 0;
-  int input_slot_ = 0;  // quantized full input
-  nn::ArenaPlan aplan_;
-  std::vector<nn::ArenaRequest> slice_requests_;
-  std::vector<nn::ArenaRequest> shared_requests_;
-  int par_assembled_slot_ = 0;
-  int par_input_slot_ = 0;
-  std::vector<PipelinedTailLayer> pipeline_;
-  std::vector<std::int64_t> branch_costs_;
-  int pipeline_horizon_ = 0;
-  std::shared_ptr<nn::ArenaSlab> arena_source_;
-  mutable std::function<void(int)> branch_hook_;
-  mutable std::function<void(int, const nn::QTensor&)> stats_hook_;
-  // AvgPool reciprocal tables keyed by window size. Filled at construction
-  // for every window the graph contains, then read-only — several workers
-  // share them concurrently during parallel runs, so no lazy inserts on the
-  // run path (that was the shared-mutable-state hazard the thread-affinity
-  // audit flagged).
-  std::unordered_map<int, nn::ops::AvgPoolMultipliers> pool_tables_;
-  mutable std::unordered_map<int, nn::ParallelArenaPlan> pplans_;
-  mutable std::unordered_map<int, nn::ParallelArenaPlan> pipelined_pplans_;
-  mutable std::unordered_map<int, nn::ParallelArenaPlan> streaming_pplans_;
-  mutable std::unordered_map<int, nn::TaskGraph> pipeline_graphs_;
-  // Per-run state read by the cached pipelined graph's tasks (see
-  // CompiledPatchModel); the quantized input is a bound arena view.
-  mutable nn::QTensor run_qinput_;
-  mutable std::uint8_t* run_data_ = nullptr;
-  mutable const nn::ParallelArenaPlan* run_pplan_ = nullptr;
-  mutable StreamState* run_stream_ = nullptr;
-  mutable nn::ops::KernelBackend backend_;
-  mutable nn::ops::ScratchArena crops_;
-  mutable std::vector<std::unique_ptr<WorkerCtx>> workers_;
-  mutable std::vector<std::uint8_t> arena_;
-  mutable std::vector<nn::QTensor> step_views_;
-  mutable std::vector<nn::QTensor> tail_memo_;
-  mutable std::int64_t measured_ = 0;
 };
 
 }  // namespace qmcu::patch

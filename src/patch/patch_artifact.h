@@ -11,7 +11,7 @@
 //
 // The loader rebuilds the PatchPlan from the spec (pure receptive-field
 // propagation over the topology) and constructs a CompiledPatchQuantModel
-// whose weights, panels and offset rows view the shared mapping, exactly
+// whose weights, panels and LUT tables view the shared mapping, exactly
 // like nn::load_compiled does for layer-based models.
 #pragma once
 

@@ -1,10 +1,10 @@
-// Parallel patch execution (compiled_patch_model.h + worker_pool.h) must be
-// bit-identical to the sequential path for every worker count, across the
-// model zoo and every quant mode (float, int8, sub-byte, mixed per-branch);
-// the tiled region merge must be completion-order independent; the
-// per-worker arena layout must keep slices and the shared region disjoint;
-// and the thread-affinity guard must catch a KernelBackend shared across
-// threads.
+// Parallel patch execution support (compiled_patch_model.h +
+// worker_pool.h): the executors' parallel entry points must match their
+// sequential ones; the tiled region merge must be completion-order
+// independent; the per-worker streaming arena layout must keep slices and
+// the shared region disjoint; and the thread-affinity guard must catch a
+// KernelBackend shared across threads. Pipelined parity across the zoo,
+// bit widths and worker counts lives in test_pipelined_patch.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,8 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/quantmcu.h"
-#include "data/synthetic.h"
 #include "models/zoo.h"
 #include "nn/executor.h"
 #include "nn/memory_planner.h"
@@ -62,78 +60,7 @@ void expect_q_identical(const nn::QTensor& a, const nn::QTensor& b) {
   }
 }
 
-// --- float parity across the zoo --------------------------------------------
-
-TEST(ParallelPatch, FloatBitExactAcrossZooAndWorkerCounts) {
-  for (const char* name : {"mobilenetv2", "mcunet", "mnasnet"}) {
-    const nn::Graph g = models::make_model(name, small_cfg());
-    const patch::PatchPlan plan =
-        patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-    const patch::CompiledPatchModel model(g, plan);
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      const nn::Tensor in = random_input(g.shape(0), seed);
-      const nn::Tensor expect = model.run(in);
-      for (const int workers : {2, 3, 4}) {
-        nn::WorkerPool pool(workers);
-        expect_f_identical(model.run(in, &pool), expect);
-      }
-      // Null / single-worker pools take the sequential path.
-      nn::WorkerPool one(1);
-      expect_f_identical(model.run(in, &one), expect);
-      expect_f_identical(model.run(in, nullptr), expect);
-    }
-  }
-}
-
-// --- quantized parity: int8, sub-byte, mixed --------------------------------
-
-TEST(ParallelPatch, QuantBitExactAcrossBitwidths) {
-  const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
-  const auto ranges = quant::calibrate_ranges(
-      g, std::vector<nn::Tensor>{random_input(g.shape(0), 5)});
-  const patch::PatchPlan plan =
-      patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  for (const int bits : {8, 4}) {
-    const auto cfg = quant::make_quant_config(g, ranges,
-                                              nn::uniform_bits(g, bits));
-    const patch::CompiledPatchQuantModel model(g, plan, cfg);
-    for (std::uint64_t seed = 11; seed <= 13; ++seed) {
-      const nn::Tensor in = random_input(g.shape(0), seed);
-      const nn::QTensor expect = model.run(in);
-      for (const int workers : {2, 4}) {
-        nn::WorkerPool pool(workers);
-        expect_q_identical(model.run(in, &pool), expect);
-      }
-    }
-  }
-}
-
-TEST(ParallelPatch, MixedModeBitExact) {
-  const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
-  data::DataConfig dc;
-  dc.resolution = 48;
-  const data::SyntheticDataset ds(dc);
-  const std::vector<nn::Tensor> calib = ds.batch(0, 2);
-
-  core::QuantMcuConfig qcfg;
-  qcfg.patch.grid = 2;
-  qcfg.patch.stage_downsample = 4;
-  const core::QuantMcuPlan plan = core::build_quantmcu_plan(
-      g, mcu::arduino_nano_33_ble_sense(), calib, qcfg);
-  const auto ranges = quant::calibrate_ranges(g, calib);
-  const auto branch_cfgs = core::make_branch_quant_configs(g, plan, ranges);
-  const auto deploy_cfg = core::make_deployment_quant_config(g, plan, ranges);
-  const patch::CompiledPatchQuantModel model(g, plan.patch_plan, deploy_cfg,
-                                             branch_cfgs);
-  for (int i = 17; i < 20; ++i) {
-    const nn::Tensor in = ds.image(i);
-    const nn::QTensor expect = model.run(in);
-    for (const int workers : {2, 3, 4}) {
-      nn::WorkerPool pool(workers);
-      expect_q_identical(model.run(in, &pool), expect);
-    }
-  }
-}
+// --- executor entry points ------------------------------------------------
 
 TEST(ParallelPatch, ExecutorEntryPointsMatch) {
   const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
@@ -244,7 +171,7 @@ TEST(ParallelPatch, MergeOrderIndependentFloat) {
 
 // --- parallel arena layout ---------------------------------------------------
 
-TEST(ParallelPatch, ParallelPlanSlicesAndSharedAreDisjoint) {
+TEST(ParallelPatch, StreamingPlanSlicesAndSharedAreDisjoint) {
   const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
   const auto ranges = quant::calibrate_ranges(
       g, std::vector<nn::Tensor>{random_input(g.shape(0), 31)});
@@ -254,7 +181,7 @@ TEST(ParallelPatch, ParallelPlanSlicesAndSharedAreDisjoint) {
   const patch::CompiledPatchQuantModel model(g, plan, cfg);
 
   for (const int workers : {1, 2, 4, 8}) {
-    const nn::ParallelArenaPlan& p = model.parallel_plan(workers);
+    const nn::ParallelArenaPlan& p = model.streaming_plan(workers);
     EXPECT_EQ(p.num_workers, workers);
     EXPECT_GE(p.slice_stride, p.slice.peak_bytes);
     EXPECT_EQ(p.slice_stride % 16, 0);
@@ -278,13 +205,22 @@ TEST(ParallelPatch, ParallelPlanSlicesAndSharedAreDisjoint) {
         }
       }
     }
+    // Retained bytes must survive between frames: every shared slot lives
+    // over the whole timeline, so none may share bytes with another.
+    for (std::size_t a = 0; a < p.shared.slots.size(); ++a) {
+      for (std::size_t b = a + 1; b < p.shared.slots.size(); ++b) {
+        EXPECT_FALSE(p.shared.slots[a].overlaps_bytes(p.shared.slots[b]))
+            << "shared slots " << a << "/" << b;
+      }
+    }
   }
-  // Parallel runs must never write past their planned arena — the barrier
-  // path binds parallel_plan, the pipelined path the widened-lifetime
-  // pipelined_plan.
+  // Parallel runs must never write past their planned arena — streaming
+  // frames bind streaming_plan, pipelined runs the pipelined_plan.
   nn::WorkerPool pool(4);
-  (void)model.run_barrier(random_input(g.shape(0), 32), &pool);
-  EXPECT_LE(model.measured_high_water(), model.parallel_plan(4).total_bytes());
+  patch::StreamState state;
+  (void)model.run_streaming(random_input(g.shape(0), 32), &pool, state);
+  EXPECT_LE(model.measured_high_water(),
+            model.streaming_plan(4).total_bytes());
   (void)model.run(random_input(g.shape(0), 32), &pool);
   EXPECT_LE(model.measured_high_water(),
             model.pipelined_plan(4).total_bytes());

@@ -1,11 +1,12 @@
 // Pipelined patch->tail dataflow execution (compiled_patch_model.h +
 // worker_pool.h run_graph): the dependency-driven run(input, pool) must be
-// bit-identical to the sequential compiled path — and to the PR-3 barrier
-// runtime — for every model, quant mode, grid shape, worker count and
-// branch readiness order; the row-band structure must wire its
-// dependencies to exactly the producers of its input rows; and the
-// widened-lifetime pipelined arena plan must keep everything live during
-// the overlap window byte-disjoint.
+// bit-identical to the sequential compiled path for every model, quant
+// mode (float, int8, sub-byte, mixed per-branch), grid shape, worker count
+// (a null and a 1-worker pool take the sequential path) and branch
+// readiness order; the row-band structure must wire its dependencies to
+// exactly the producers of its input rows; and the widened-lifetime
+// pipelined arena plan must keep everything live during the overlap window
+// byte-disjoint.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -71,7 +72,7 @@ patch::PatchSpec grid_spec(const nn::Graph& g, int rows, int cols) {
   return spec;
 }
 
-// --- float parity across the zoo, pipelined vs sequential vs barrier --------
+// --- float parity across the zoo, pipelined vs sequential ------------------
 
 TEST(PipelinedPatch, FloatBitExactAcrossZooAndWorkerCounts) {
   for (const char* name : {"mobilenetv2", "mcunet", "mnasnet"}) {
@@ -79,19 +80,20 @@ TEST(PipelinedPatch, FloatBitExactAcrossZooAndWorkerCounts) {
     const patch::PatchPlan plan =
         patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
     const patch::CompiledPatchModel model(g, plan);
-    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       const nn::Tensor in = random_input(g.shape(0), seed);
       const nn::Tensor expect = model.run(in);
-      for (const int workers : {2, 3, 4, 8}) {
+      // Null / single-worker pools take the sequential path.
+      expect_f_identical(model.run(in, nullptr), expect);
+      for (const int workers : {1, 2, 3, 4, 8}) {
         nn::WorkerPool pool(workers);
         expect_f_identical(model.run(in, &pool), expect);
-        expect_f_identical(model.run_barrier(in, &pool), expect);
       }
     }
   }
 }
 
-// --- quantized parity: int8, sub-byte ----------------------------------------
+// --- quantized parity: int8, sub-byte, mixed --------------------------------
 
 TEST(PipelinedPatch, QuantBitExactAcrossBitwidths) {
   const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
@@ -103,13 +105,12 @@ TEST(PipelinedPatch, QuantBitExactAcrossBitwidths) {
     const auto cfg = quant::make_quant_config(g, ranges,
                                               nn::uniform_bits(g, bits));
     const patch::CompiledPatchQuantModel model(g, plan, cfg);
-    for (std::uint64_t seed = 11; seed <= 12; ++seed) {
+    for (std::uint64_t seed = 11; seed <= 13; ++seed) {
       const nn::Tensor in = random_input(g.shape(0), seed);
       const nn::QTensor expect = model.run(in);
       for (const int workers : {2, 4}) {
         nn::WorkerPool pool(workers);
         expect_q_identical(model.run(in, &pool), expect);
-        expect_q_identical(model.run_barrier(in, &pool), expect);
       }
     }
   }
@@ -132,7 +133,7 @@ TEST(PipelinedPatch, MixedModeBitExact) {
   const auto deploy_cfg = core::make_deployment_quant_config(g, plan, ranges);
   const patch::CompiledPatchQuantModel model(g, plan.patch_plan, deploy_cfg,
                                              branch_cfgs);
-  for (int i = 17; i < 19; ++i) {
+  for (int i = 17; i < 20; ++i) {
     const nn::Tensor in = ds.image(i);
     const nn::QTensor expect = model.run(in);
     for (const int workers : {2, 3, 4}) {
@@ -176,7 +177,6 @@ TEST(PipelinedPatch, BorderHeavyUnevenGridMatches) {
   for (const int workers : {2, 3, 8}) {
     nn::WorkerPool pool(workers);
     expect_q_identical(model.run(in, &pool), expect);
-    expect_q_identical(model.run_barrier(in, &pool), expect);
   }
 }
 
@@ -281,11 +281,12 @@ TEST(PipelinedPatch, PipelinedPlanKeepsOverlapWindowDisjoint) {
 
   for (const int workers : {2, 4}) {
     const nn::ParallelArenaPlan& p = model.pipelined_plan(workers);
-    const nn::ParallelArenaPlan& barrier = model.parallel_plan(workers);
-    // The widened window can only grow the shared region, and the slices
-    // are untouched.
-    EXPECT_GE(p.shared.peak_bytes, barrier.shared.peak_bytes);
-    EXPECT_EQ(p.slice.peak_bytes, barrier.slice.peak_bytes);
+    const nn::ParallelArenaPlan& retained = model.streaming_plan(workers);
+    // The overlap window widens only what is live during it, so the shared
+    // region is never larger than the streaming layout's (every shared
+    // slot widened to the whole timeline), and the slices are identical.
+    EXPECT_LE(p.shared.peak_bytes, retained.shared.peak_bytes);
+    EXPECT_EQ(p.slice.peak_bytes, retained.slice.peak_bytes);
     // Everything alive during the overlap (first_step == 0 after
     // widening: assembled map, quantized input, banded tail layers) must
     // be pairwise byte-disjoint.
@@ -317,7 +318,7 @@ TEST(PipelinedPatch, InterleavedModesReuseModelState) {
     const nn::Tensor in = random_input(g.shape(0), seed);
     const nn::Tensor expect = exec.run(in);
     expect_f_identical(exec.run_parallel(in, &pool), expect);
-    expect_f_identical(exec.run_parallel_barrier(in, &pool), expect);
+    expect_f_identical(exec.run(in), expect);
     expect_f_identical(exec.run_parallel(in, &pool), expect);
   }
 }

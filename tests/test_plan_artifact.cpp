@@ -6,6 +6,7 @@
 // artifacts must be rejected at map time, before any byte is trusted.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <future>
@@ -214,8 +215,8 @@ TEST(PlanArtifact, SharedMappingAcrossModels) {
 // --- cross-generation load -------------------------------------------------
 // An artifact is baked under one kernel generation but must load and run
 // bit-exactly under any other: panels, column sums and LUT tables are
-// generation-independent, and the loader re-derives offset rows when the
-// baked activation zero-point bias differs from the running one.
+// generation-independent, and the kernels compute the generation-dependent
+// requantization offsets per call.
 
 TEST(PlanArtifact, LoadsBitExactUnderForcedGenerations) {
   const nn::Graph g = small_net();
@@ -250,7 +251,7 @@ TEST(PlanArtifact, LoadsBitExactUnderForcedGenerations) {
 
 TEST(PlanArtifact, ScalarBakedArtifactLoadsUnderNativeGeneration) {
   // The reverse direction: bake under the weakest generation, load under
-  // the host's strongest. Offset rows are re-derived when needed.
+  // the host's strongest.
   const nn::Graph g = small_net();
   const auto ranges = quant::calibrate_ranges(
       g, std::vector<nn::Tensor>{random_input(g.shape(0), 15)});
@@ -316,6 +317,82 @@ TEST(PlanArtifact, PatchMixedModeRoundTripBitExact) {
   const nn::Tensor in = ds.image(19);
   expect_q_identical(loaded.model->run(in), ref.run(in));
   nn::WorkerPool pool(3);
+  expect_q_identical(loaded.model->run(in, &pool), ref.run(in));
+}
+
+// A mixed plan whose branch conv keeps the deployment input zero point but
+// carries its own rescaled bias. Nothing baked for the deployment bias may
+// stand in for that step's requantization offset: the loaded model must
+// match a Reference-tier model layer for layer from the cut on.
+TEST(PlanArtifact, MixedBranchBiasAtDeploymentZeroPointLoadsBitExact) {
+  const nn::Graph g = mbv2_net();
+  const auto ranges = quant::calibrate_ranges(
+      g, std::vector<nn::Tensor>{random_input(g.shape(0), 40)});
+  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+  const patch::PatchSpec spec = patch::plan_mcunetv2(g, {2, 2});
+  const patch::PatchPlan plan = patch::build_patch_plan(g, spec);
+
+  // Every branch step at its deployment params...
+  const std::vector<nn::QuantParams> effective =
+      nn::effective_output_params(g, cfg);
+  std::vector<patch::BranchQuantConfig> branch_cfgs(plan.branches.size());
+  for (std::size_t b = 0; b < plan.branches.size(); ++b) {
+    for (const patch::BranchStep& step : plan.branches[b].steps) {
+      branch_cfgs[b].per_step.push_back(
+          effective[static_cast<std::size_t>(step.layer_id)]);
+    }
+  }
+  // ...except that branch 0 doubles the scale (same zero point) of the
+  // input of its first Conv2D step, which rescales that step's bias.
+  const patch::PatchBranch& branch = plan.branches.front();
+  int conv_step = -1;
+  for (std::size_t s = 0; s < branch.steps.size(); ++s) {
+    if (g.layer(branch.steps[s].layer_id).kind == nn::OpKind::Conv2D) {
+      conv_step = static_cast<int>(s);
+      break;
+    }
+  }
+  ASSERT_GE(conv_step, 0);
+  const int conv_layer =
+      branch.steps[static_cast<std::size_t>(conv_step)].layer_id;
+  const int producer = branch.step_of(g.layer(conv_layer).inputs[0]);
+  ASSERT_GE(producer, 0);
+  branch_cfgs[0].per_step[static_cast<std::size_t>(producer)].scale *= 2.0f;
+
+  const std::string path = artifact_path("patch_branch_bias");
+  patch::compile_to_artifact(g, spec, cfg, branch_cfgs, path);
+  const patch::LoadedPatchModel loaded = patch::load_compiled_patch(path);
+  const patch::CompiledPatchQuantModel ref(g, plan, cfg, branch_cfgs,
+                                           nn::ops::KernelTier::Reference);
+  const auto& branch_bias =
+      ref.branch_bias()[0][static_cast<std::size_t>(conv_step)];
+  const auto deploy_bias =
+      ref.shared_parameters()->bias[static_cast<std::size_t>(conv_layer)];
+  ASSERT_FALSE(std::equal(branch_bias.begin(), branch_bias.end(),
+                          deploy_bias.begin(), deploy_bias.end()))
+      << "the branch step must carry a bias of its own";
+
+  // Every layer's output from the cut on, via the stats hook.
+  using Capture = std::vector<std::vector<std::int8_t>>;
+  const auto capture = [](Capture& into) {
+    return [&into](int, const nn::QTensor& t) {
+      into.emplace_back(t.data().begin(), t.data().end());
+    };
+  };
+  const nn::Tensor in = random_input(g.shape(0), 41);
+  Capture want;
+  Capture got;
+  ref.set_stats_hook(capture(want));
+  (void)ref.run(in);
+  loaded.model->set_stats_hook(capture(got));
+  (void)loaded.model->run(in);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "layer " << plan.spec.split_layer + i;
+  }
+  loaded.model->set_stats_hook(nullptr);
+  nn::WorkerPool pool(2);
+  ref.set_stats_hook(nullptr);
   expect_q_identical(loaded.model->run(in, &pool), ref.run(in));
 }
 

@@ -253,6 +253,68 @@ TEST(ServingFrontend, PatchModelBitExactVsSequential) {
   EXPECT_EQ(frontend.slab()->outstanding_leases(), 0);
 }
 
+// Destroying a front-end with an open, primed stream and a frame still
+// queued: the pool drains the queued frame, and every stream lease (the
+// open stream's retained arena included) must go back to a slab that is
+// still alive — the ASan leg catches a release into a freed slab.
+TEST(ServingFrontend, DestroyedWithOpenStreamAndQueuedFrame) {
+  const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
+  const auto ranges = quant::calibrate_ranges(
+      g, std::vector<nn::Tensor>{random_input(g.shape(0), 1)});
+  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+  const patch::PatchPlan plan =
+      patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
+  const patch::CompiledPatchQuantModel reference(g, plan, cfg);
+
+  ServingConfig scfg;
+  scfg.sessions = 1;
+  scfg.core_budget = 1;
+  scfg.pin_lanes = false;
+  using Frontend = ServingFrontend<patch::CompiledPatchQuantModel>;
+  const patch::CompiledPatchQuantModel* lane_model = nullptr;
+  auto frontend = std::make_unique<Frontend>(
+      scfg, [&](int, const std::shared_ptr<nn::ArenaSlab>& slab) {
+        auto model =
+            std::make_unique<patch::CompiledPatchQuantModel>(g, plan, cfg);
+        model->set_arena_source(slab);
+        lane_model = model.get();
+        return model;
+      });
+  ASSERT_NE(lane_model, nullptr);
+
+  const std::uint64_t id = frontend->open_stream();
+  const nn::Tensor f0 = random_input(g.shape(0), 2);
+  const nn::Tensor f1 = random_input(g.shape(0), 3);
+  const nn::Tensor f2 = random_input(g.shape(0), 4);
+  (void)frontend->submit_stream(id, f0).get();  // primes the stream
+  EXPECT_EQ(frontend->slab()->outstanding_leases(), 1);
+
+  // Park the lane inside the next frame so the one after it stays queued
+  // while the front-end is torn down.
+  auto gate = std::make_shared<Gate>();
+  lane_model->set_branch_completion_hook([gate](int) { gate->wait(); });
+  auto in_flight = frontend->submit_stream(id, f1);
+  EXPECT_TRUE(gate->await_waiters(1));
+  auto queued = frontend->submit_stream(id, f2);
+  std::thread releaser([gate] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    gate->release();
+  });
+  frontend.reset();
+  releaser.join();
+
+  // Both frames ran to completion before the lane shut down.
+  const auto expect_equal = [](const nn::QTensor& got,
+                               const nn::QTensor& want) {
+    ASSERT_EQ(got.shape(), want.shape());
+    for (std::size_t j = 0; j < got.data().size(); ++j) {
+      ASSERT_EQ(got.data()[j], want.data()[j]) << "element " << j;
+    }
+  };
+  expect_equal(in_flight.get(), reference.run(f1));
+  expect_equal(queued.get(), reference.run(f2));
+}
+
 TEST(ServingFrontend, RejectsWhenAdmissionQueueIsFull) {
   auto gate = std::make_shared<Gate>();
   ServingConfig cfg;

@@ -148,7 +148,7 @@ int inspect(const std::string& path) {
               fp.gemm_generation, fp.gemm_a_bias, fp.lut_mask,
               art->fingerprint_matches()
                   ? ""
-                  : "  [differs from this host: offset rows re-derived]");
+                  : "  [differs from this host]");
   std::printf("  graph: %d layers, arena peak %lld bytes (%zu slots)\n",
               art->graph().size(),
               static_cast<long long>(art->arena_plan().peak_bytes),
@@ -215,7 +215,7 @@ int verify_artifact(const std::string& path, const nn::Graph& g,
   std::printf("OK: %s bit-identical to in-memory compilation (%s kernel "
               "generation)\n",
               path.c_str(),
-              art->fingerprint_matches() ? "matching" : "re-derived");
+              art->fingerprint_matches() ? "matching" : "different");
   return 0;
 }
 
