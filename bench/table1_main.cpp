@@ -21,6 +21,7 @@
 #include <limits>
 
 #include "models/weights.h"
+#include "patch/compiled_patch_model.h"
 #include "patch/restructuring.h"
 #include "patch/rnnpool.h"
 #include "quant/calibration.h"
@@ -60,17 +61,17 @@ void run_deployment(const nn::Graph& g, const core::QuantMcuPlan& plan,
       core::make_deployment_quant_config(g, plan, ranges);
   const auto branch_cfgs = core::make_branch_quant_configs(g, plan, ranges);
 
-  // One weight conversion feeds both executors (and any sweep variants).
+  // One weight conversion feeds both models (and any sweep variants).
   const auto params = nn::QuantizedParameters::build_shared(g, deploy_cfg);
-  const patch::PatchQuantExecutor uniform(g, plan.patch_plan, deploy_cfg,
-                                          nn::ops::KernelTier::Fast, params);
-  const patch::PatchQuantExecutor mixed(g, plan.patch_plan, deploy_cfg,
-                                        branch_cfgs,
-                                        nn::ops::KernelTier::Fast, params);
+  const patch::CompiledPatchQuantModel uniform(
+      g, plan.patch_plan, deploy_cfg, {}, nn::ops::KernelTier::Fast, params);
+  const patch::CompiledPatchQuantModel mixed(g, plan.patch_plan, deploy_cfg,
+                                             branch_cfgs,
+                                             nn::ops::KernelTier::Fast, params);
 
   // Best of several warm runs: a single wall-clock sample on a shared
   // runner is too jittery for a trajectory artifact.
-  const auto time_run = [&](const patch::PatchQuantExecutor& exec) {
+  const auto time_run = [&](const patch::CompiledPatchQuantModel& exec) {
     (void)exec.run(image);  // warm the arena + weight panels
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < 5; ++rep) {
@@ -87,9 +88,9 @@ void run_deployment(const nn::Graph& g, const core::QuantMcuPlan& plan,
   const double mixed_ms = time_run(mixed);
 
   const double uniform_arena_kb =
-      static_cast<double>(uniform.compiled().arena_bytes()) / 1024;
+      static_cast<double>(uniform.arena_bytes()) / 1024;
   const double mixed_arena_kb =
-      static_cast<double>(mixed.compiled().arena_bytes()) / 1024;
+      static_cast<double>(mixed.arena_bytes()) / 1024;
   std::printf(
       "  (executed: uniform %.1f ms / %.0f KB arena, mixed %.1f ms / %.0f "
       "KB arena, shared weight conversion)\n",

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "mcu/bitops.h"
-#include "nn/executor.h"
+#include "patch/compiled_patch_model.h"
 #include "quant/entropy.h"
 
 namespace qmcu::core {
@@ -25,6 +25,16 @@ int last_entropy_layer(const nn::Graph& g) {
   int id = g.output();
   if (g.layer(id).kind == nn::OpKind::Softmax) id = g.layer(id).inputs[0];
   return id;
+}
+
+// Adds one feature map's entropies (float and at every VDQS candidate
+// width) to its profile; the caller averages over the calibration batch.
+void add_entropies(const nn::Tensor& fm, int bins, FeatureMapProfile& p) {
+  p.entropy_float += quant::activation_entropy(fm, bins);
+  for (std::size_t j = 0; j < kVdqsCandidateBits.size(); ++j) {
+    p.entropy_at_bits[j] +=
+        quant::quantized_activation_entropy(fm, kVdqsCandidateBits[j], bins);
+  }
 }
 
 }  // namespace
@@ -48,38 +58,6 @@ QuantMcuPlan build_quantmcu_plan(const nn::Graph& g, const mcu::Device& dev,
   plan.full_precision_bitops = mcu::full_precision_bitops(g);
   plan.tail_bits = std::vector<int>(static_cast<std::size_t>(g.size()), 8);
 
-  // ---- whole-model float calibration pass --------------------------------
-  // Needed for H(N, b_last) and, when the tail is quantized, for the tail
-  // branch's entropy profile.
-  const nn::Executor exec(g);
-  const int last_id = last_entropy_layer(g);
-  const int split = plan.patch_plan.spec.split_layer;
-  std::vector<FeatureMapProfile> tail_profile(
-      static_cast<std::size_t>(g.size() - split - 1));
-  {
-    double h_sum = 0.0;
-    for (const nn::Tensor& img : calibration) {
-      const std::vector<nn::Tensor> fms = exec.run_all(img);
-      h_sum += quant::quantized_activation_entropy(
-          fms[static_cast<std::size_t>(last_id)], 8, cfg.histogram_bins);
-      if (cfg.quantize_tail) {
-        for (int id = split + 1; id < g.size(); ++id) {
-          FeatureMapProfile& p =
-              tail_profile[static_cast<std::size_t>(id - split - 1)];
-          const nn::Tensor& fm = fms[static_cast<std::size_t>(id)];
-          p.entropy_float +=
-              quant::activation_entropy(fm, cfg.histogram_bins);
-          for (std::size_t j = 0; j < kVdqsCandidateBits.size(); ++j) {
-            p.entropy_at_bits[j] += quant::quantized_activation_entropy(
-                fm, kVdqsCandidateBits[j], cfg.histogram_bins);
-          }
-        }
-      }
-    }
-    plan.last_output_entropy =
-        std::max(1e-6, h_sum / static_cast<double>(calibration.size()));
-  }
-
   // ---- VDPC statistics on the calibration set ----------------------------
   {
     double frac = 0.0;
@@ -92,35 +70,46 @@ QuantMcuPlan build_quantmcu_plan(const nn::Graph& g, const mcu::Device& dev,
   }
 
   // ---- VDQS: profile + search (timed — Table II "Time") ------------------
+  // One observed patch run per calibration image sees every feature map
+  // patch inference computes: each branch step's region map (the branch
+  // profiles) and every tail layer (H(N, b_last) and, when the tail is
+  // quantized, the tail branch's profile).
   const auto t0 = Clock::now();
-  const patch::PatchExecutor pexec(g, plan.patch_plan);
+  const patch::CompiledPatchModel model(g, plan.patch_plan);
+  const int last_id = last_entropy_layer(g);
+  const int split = plan.patch_plan.spec.split_layer;
+  QMCU_ENSURE(last_id > split, "the entropy normaliser must follow the cut");
   const int num_branches = static_cast<int>(plan.patch_plan.branches.size());
-
-  // Accumulated entropy profiles per branch/step.
   std::vector<std::vector<FeatureMapProfile>> profiles(
       static_cast<std::size_t>(num_branches));
   for (int b = 0; b < num_branches; ++b) {
     profiles[static_cast<std::size_t>(b)].resize(
         plan.patch_plan.branches[static_cast<std::size_t>(b)].steps.size());
   }
-
+  std::vector<FeatureMapProfile> tail_profile(
+      static_cast<std::size_t>(g.size() - split - 1));
+  double h_sum = 0.0;
   for (const nn::Tensor& img : calibration) {
-    const auto stage = pexec.run_stage(img);
-    for (int b = 0; b < num_branches; ++b) {
-      const auto& steps =
-          plan.patch_plan.branches[static_cast<std::size_t>(b)].steps;
-      for (std::size_t s = 0; s < steps.size(); ++s) {
-        const nn::Tensor& fm = stage[static_cast<std::size_t>(b)][s];
-        FeatureMapProfile& p = profiles[static_cast<std::size_t>(b)][s];
-        p.entropy_float +=
-            quant::activation_entropy(fm, cfg.histogram_bins);
-        for (std::size_t j = 0; j < kVdqsCandidateBits.size(); ++j) {
-          p.entropy_at_bits[j] += quant::quantized_activation_entropy(
-              fm, kVdqsCandidateBits[j], cfg.histogram_bins);
-        }
+    (void)model.run(img, [&](int b, int index, const nn::Tensor& fm) {
+      if (b >= 0) {
+        add_entropies(fm, cfg.histogram_bins,
+                      profiles[static_cast<std::size_t>(b)]
+                              [static_cast<std::size_t>(index)]);
+        return;
       }
-    }
+      if (index == last_id) {
+        h_sum += quant::quantized_activation_entropy(fm, 8,
+                                                     cfg.histogram_bins);
+      }
+      if (cfg.quantize_tail) {
+        add_entropies(fm, cfg.histogram_bins,
+                      tail_profile[static_cast<std::size_t>(index - split -
+                                                            1)]);
+      }
+    });
   }
+  plan.last_output_entropy =
+      std::max(1e-6, h_sum / static_cast<double>(calibration.size()));
   const double inv_n = 1.0 / static_cast<double>(calibration.size());
   for (int b = 0; b < num_branches; ++b) {
     const patch::PatchBranch& branch =
@@ -214,55 +203,36 @@ struct NoiseAccumulator {
   double crush_normalized_err = 0.0;
 };
 
-// Quantization noise of the shared tail feature maps at `tail_bits`.
-void accumulate_tail_noise(const nn::Graph& g, int split,
-                           std::span<const nn::Tensor> fms,
-                           std::span<const int> tail_bits,
-                           NoiseAccumulator& acc) {
-  for (int id = split + 1; id < g.size(); ++id) {
-    const nn::Tensor& fm = fms[static_cast<std::size_t>(id)];
-    const double var = quant::tensor_variance(fm);
-    if (var <= 0.0) continue;
-    const double rel =
-        quant::quantization_mse(fm, tail_bits[static_cast<std::size_t>(id)]) /
-        var;
-    const double vol = static_cast<double>(fm.elements());
-    acc.weighted_rel_mse += rel * vol;
-    acc.volume += vol;
-  }
+// Quantization noise of one feature map at `bits`, weighted by its volume.
+void accumulate_fm_noise(const nn::Tensor& fm, int bits,
+                         NoiseAccumulator& acc) {
+  const double var = quant::tensor_variance(fm);
+  if (var <= 0.0) return;
+  const double rel = quant::quantization_mse(fm, bits) / var;
+  const double vol = static_cast<double>(fm.elements());
+  acc.weighted_rel_mse += rel * vol;
+  acc.volume += vol;
 }
 
-void accumulate_branch_noise(const patch::PatchPlan& pplan,
-                             const std::vector<std::vector<nn::Tensor>>& stage,
-                             std::span<const patch::BranchBits> realized,
-                             const nn::Tensor& input, double z_ref,
-                             NoiseAccumulator& acc) {
+// Outlier crush on each patch's input tile at its branch's narrowest width.
+void accumulate_outlier_crush(const patch::PatchPlan& pplan,
+                              std::span<const patch::BranchBits> realized,
+                              const nn::Tensor& input, double z_ref,
+                              NoiseAccumulator& acc) {
   // Accuracy-relevant outliers are defined on the input feature map.
   const GaussianFit fit = fit_gaussian(input.data());
   const double tau = z_ref * fit.stddev;
+  const auto [lo, hi] = nn::tensor_min_max(input);
+  const double band = std::max(1e-12, tau);
 
   for (std::size_t b = 0; b < pplan.branches.size(); ++b) {
     const patch::PatchBranch& branch = pplan.branches[b];
-    const patch::BranchBits& bits = realized[b];
-    int min_bits = 8;
-    for (std::size_t s = 0; s < branch.steps.size(); ++s) {
-      const nn::Tensor& fm = stage[b][s];
-      const int fm_bits = bits.bits[s];
-      min_bits = std::min(min_bits, fm_bits);
-      const double var = quant::tensor_variance(fm);
-      if (var > 0.0) {
-        const double rel = quant::quantization_mse(fm, fm_bits) / var;
-        const double vol = static_cast<double>(branch.steps[s].out_elements);
-        acc.weighted_rel_mse += rel * vol;
-        acc.volume += vol;
-      }
-    }
-    // Outlier crush on this patch's input tile.
+    const std::vector<int>& bits = realized[b].bits;
+    const int min_bits =
+        std::min(8, *std::min_element(bits.begin(), bits.end()));
     const patch::Region tile =
         pplan.input_tile(branch.row, branch.col, input.shape());
-    const auto [lo, hi] = nn::tensor_min_max(input);
     const nn::QuantParams qp = nn::choose_quant_params(lo, hi, min_bits);
-    const double band = std::max(1e-12, tau);
     for (int y = tile.y.begin; y < tile.y.end; ++y) {
       for (int x = tile.x.begin; x < tile.x.end; ++x) {
         for (int c = 0; c < input.shape().c; ++c) {
@@ -307,8 +277,7 @@ QuantMcuEvaluation evaluate_quantmcu(const nn::Graph& g,
                                      const QuantMcuConfig& cfg,
                                      const AccuracyModel& acc_model) {
   QMCU_REQUIRE(!eval_images.empty(), "evaluation batch must not be empty");
-  const patch::PatchExecutor pexec(g, plan.patch_plan);
-  const nn::Executor exec(g);
+  const patch::CompiledPatchModel model(g, plan.patch_plan);
   const int split = plan.patch_plan.spec.split_layer;
   bool tail_quantized = false;
   for (int id = split + 1; id < g.size(); ++id) {
@@ -343,13 +312,21 @@ QuantMcuEvaluation evaluate_quantmcu(const nn::Graph& g,
     ev.mean_latency_ms += cost.latency_ms;
     ev.mean_peak_bytes += static_cast<double>(cost.peak_bytes);
 
-    const auto stage = pexec.run_stage(img);
-    accumulate_branch_noise(plan.patch_plan, stage, realized, img,
-                            acc_model.z_ref, acc);
-    if (tail_quantized) {
-      const std::vector<nn::Tensor> fms = exec.run_all(img);
-      accumulate_tail_noise(g, split, fms, plan.tail_bits, acc);
-    }
+    // Per-map noise at the realised widths, from one observed patch run.
+    (void)model.run(img, [&](int b, int index, const nn::Tensor& fm) {
+      if (b >= 0) {
+        accumulate_fm_noise(
+            fm,
+            realized[static_cast<std::size_t>(b)]
+                .bits[static_cast<std::size_t>(index)],
+            acc);
+      } else if (tail_quantized) {
+        accumulate_fm_noise(
+            fm, plan.tail_bits[static_cast<std::size_t>(index)], acc);
+      }
+    });
+    accumulate_outlier_crush(plan.patch_plan, realized, img, acc_model.z_ref,
+                             acc);
   }
   const double inv = 1.0 / static_cast<double>(eval_images.size());
   ev.mean_bitops *= inv;
@@ -408,7 +385,7 @@ QuantMcuEvaluation evaluate_uniform_patch(
     const mcu::CostModel& cost_model, std::span<const nn::Tensor> eval_images,
     const AccuracyModel& acc_model) {
   QMCU_REQUIRE(!eval_images.empty(), "evaluation batch must not be empty");
-  const patch::PatchExecutor pexec(g, patch_plan);
+  const patch::CompiledPatchModel model(g, patch_plan);
   const std::vector<patch::BranchBits> bits8 =
       patch::uniform_branch_bits(patch_plan, 8);
   std::vector<int> tail8(static_cast<std::size_t>(g.size()), 8);
@@ -421,9 +398,11 @@ QuantMcuEvaluation evaluate_uniform_patch(
     ev.mean_bitops += static_cast<double>(cost.bitops);
     ev.mean_latency_ms += cost.latency_ms;
     ev.mean_peak_bytes += static_cast<double>(cost.peak_bytes);
-    const auto stage = pexec.run_stage(img);
-    accumulate_branch_noise(patch_plan, stage, bits8, img,
-                            AccuracyModel{}.z_ref, acc);
+    (void)model.run(img, [&](int b, int, const nn::Tensor& fm) {
+      if (b >= 0) accumulate_fm_noise(fm, 8, acc);
+    });
+    accumulate_outlier_crush(patch_plan, bits8, img, AccuracyModel{}.z_ref,
+                             acc);
   }
   const double inv = 1.0 / static_cast<double>(eval_images.size());
   ev.mean_bitops *= inv;

@@ -5,9 +5,11 @@
 //   2. calibrate activation statistics on a calibration batch;
 //   3. VDPC: measure how often each patch position carries outlier values;
 //   4. VDQS: per dataflow branch, profile feature-map entropies at the
-//      candidate bitwidths and run the quantization-score search with the
-//      Eq. 7 memory repair (Algorithm 1). The measured wall-clock of
-//      profiling + search is the paper's Table II "Time" column.
+//      candidate bitwidths — one observed patch::CompiledPatchModel run per
+//      calibration image sees every branch step and tail layer map — and
+//      run the quantization-score search with the Eq. 7 memory repair
+//      (Algorithm 1). The measured wall-clock of profiling + search is the
+//      paper's Table II "Time" column.
 //
 // Online (evaluate_quantmcu): per input image, classify patches (Eq. 1);
 // outlier-class branches execute uniformly at 8-bit, non-outlier branches
@@ -28,9 +30,8 @@
 #include "nn/graph.h"
 #include "nn/tensor.h"
 #include "patch/mcunetv2.h"
+#include "patch/compiled_patch_model.h"
 #include "patch/patch_cost.h"
-#include "patch/patch_executor.h"
-#include "patch/patch_quant_executor.h"
 #include "patch/restructuring.h"
 #include "quant/calibration.h"
 
@@ -71,6 +72,9 @@ struct QuantMcuPlan {
   std::vector<patch::BranchBits> mixed_bits;  // non-outlier branch config
   std::vector<VdqsResult> searches;           // per branch
   std::vector<int> tail_bits;                 // per layer after the cut
+  // Wall-clock of VDQS: the profiling pass over the calibration batch plus
+  // the searches (the baselines' timers likewise cover their calibration
+  // passes).
   double search_seconds = 0.0;
   double calib_outlier_fraction = 0.0;  // VDPC statistics on calibration set
   double last_output_entropy = 0.0;     // H(N, b_last)
@@ -109,9 +113,9 @@ QuantMcuEvaluation evaluate_uniform_patch(
 
 // --- materialising the plan into a runnable quantized deployment ----------
 // Turns the searched bitwidths into concrete QuantParams over calibrated
-// ranges, ready for patch::PatchQuantExecutor: per-branch step params (the
-// non-outlier mixed-precision path) and the tail/whole-graph config (which
-// also covers the outlier-class 8-bit path).
+// ranges, ready for patch::CompiledPatchQuantModel: per-branch step params
+// (the non-outlier mixed-precision path) and the tail/whole-graph config
+// (which also covers the outlier-class 8-bit path).
 std::vector<patch::BranchQuantConfig> make_branch_quant_configs(
     const nn::Graph& g, const QuantMcuPlan& plan,
     std::span<const quant::LayerRange> ranges);

@@ -19,7 +19,7 @@
 //
 // This header also hosts the quantization-time model parameters
 // (ActivationQuantConfig, QuantizedParameters) shared by the compiled
-// models, the legacy executors and the patch runtime. QuantizedParameters
+// models, the layer-based executors and the patch runtime. QuantizedParameters
 // can be built once and shared across any number of executors/compiled
 // models over the same graph (bench sweeps construct many).
 #pragma once

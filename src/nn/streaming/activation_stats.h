@@ -28,10 +28,11 @@
 // tracked layers, and needs_recalibration() fires at drift_threshold. The tracker
 // feeds from the compiled quant patch model's opt-in stats hook
 // (set_stats_hook observes the assembled map and every tail layer once per
-// completed run) and drifted_ranges() proposes refreshed quant::LayerRange
-// values — widened on the saturating side, tightened onto the EMA extrema
-// when shrunken — that flow straight into quant::make_quant_config for a
-// re-calibration + hot swap.
+// completed streaming frame — run_streaming is the only run whose layout
+// keeps every tail map alive to the end) and drifted_ranges() proposes
+// refreshed quant::LayerRange values — widened on the saturating side,
+// tightened onto the EMA extrema when shrunken — that flow straight into
+// quant::make_quant_config for a re-calibration + hot swap.
 #pragma once
 
 #include <cstdint>

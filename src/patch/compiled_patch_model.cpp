@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <type_traits>
 #include <utility>
 
@@ -10,8 +11,6 @@
 #include "nn/ops/lut/lut_kernels.h"
 #include "nn/ops/requantize.h"
 #include "patch/patch_cost.h"
-#include "patch/patch_executor.h"
-#include "patch/patch_quant_executor.h"
 #include "patch/region_pool.h"
 
 namespace qmcu::patch {
@@ -329,6 +328,71 @@ std::vector<std::vector<std::vector<std::int32_t>>> build_branch_bias(
   return branch_bias;
 }
 
+// --- region crops ------------------------------------------------------------
+
+void crop_from_region_into(const nn::Tensor& have, const Region& avail,
+                           const Region& want, const nn::TensorShape& full,
+                           nn::Tensor& out) {
+  QMCU_REQUIRE(have.shape().h == avail.y.size() &&
+                   have.shape().w == avail.x.size(),
+               "tensor extents must match its declared region");
+  const int c = have.shape().c;
+  QMCU_REQUIRE(out.shape() == nn::TensorShape(want.y.size(), want.x.size(), c),
+               "crop destination shape mismatch");
+  // Zero-fill first: destinations may be reused scratch, and out-of-bounds
+  // positions must read as zero padding.
+  std::memset(out.data().data(), 0, out.data().size() * sizeof(float));
+  for (int gy = want.y.begin; gy < want.y.end; ++gy) {
+    for (int gx = want.x.begin; gx < want.x.end; ++gx) {
+      const int oy = gy - want.y.begin;
+      const int ox = gx - want.x.begin;
+      const bool in_bounds = gy >= 0 && gy < full.h && gx >= 0 && gx < full.w;
+      if (!in_bounds) continue;  // zero padding
+      QMCU_ENSURE(gy >= avail.y.begin && gy < avail.y.end &&
+                      gx >= avail.x.begin && gx < avail.x.end,
+                  "required element missing from available region");
+      const int sy = gy - avail.y.begin;
+      const int sx = gx - avail.x.begin;
+      for (int ch = 0; ch < c; ++ch) {
+        out.at(oy, ox, ch) = have.at(sy, sx, ch);
+      }
+    }
+  }
+}
+
+void crop_from_region_q_into(const nn::QTensor& have, const Region& avail,
+                             const Region& want, const nn::TensorShape& full,
+                             nn::QTensor& out) {
+  QMCU_REQUIRE(have.shape().h == avail.y.size() &&
+                   have.shape().w == avail.x.size(),
+               "tensor extents must match its declared region");
+  const int c = have.shape().c;
+  QMCU_REQUIRE(out.shape() == nn::TensorShape(want.y.size(), want.x.size(), c),
+               "crop destination shape mismatch");
+  QMCU_REQUIRE(out.params() == have.params(),
+               "crop destination must carry the source params");
+  const auto zp = static_cast<std::int8_t>(have.params().zero_point);
+  for (int gy = want.y.begin; gy < want.y.end; ++gy) {
+    for (int gx = want.x.begin; gx < want.x.end; ++gx) {
+      const int oy = gy - want.y.begin;
+      const int ox = gx - want.x.begin;
+      const bool in_bounds = gy >= 0 && gy < full.h && gx >= 0 && gx < full.w;
+      if (!in_bounds) {
+        for (int ch = 0; ch < c; ++ch) out.at(oy, ox, ch) = zp;
+        continue;
+      }
+      QMCU_ENSURE(gy >= avail.y.begin && gy < avail.y.end &&
+                      gx >= avail.x.begin && gx < avail.x.end,
+                  "required element missing from available region");
+      const int sy = gy - avail.y.begin;
+      const int sx = gx - avail.x.begin;
+      for (int ch = 0; ch < c; ++ch) {
+        out.at(oy, ox, ch) = have.at(sy, sx, ch);
+      }
+    }
+  }
+}
+
 // --- float traits ------------------------------------------------------------
 
 void FloatPatchTraits::input_tile(nn::ops::KernelBackend&,
@@ -489,8 +553,8 @@ void QuantPatchTraits::prepack_lane(nn::ops::KernelBackend& backend,
   for (int id = plan.spec.split_layer + 1; id < g.size(); ++id) prepack(id);
 }
 
-void QuantPatchTraits::after_run(int first_layer,
-                                 std::span<const Tensor> memo) const {
+void QuantPatchTraits::after_stream_frame(int first_layer,
+                                          std::span<const Tensor> memo) const {
   if (!stats_hook_) return;
   for (int id = first_layer; id < graph_->size(); ++id) {
     stats_hook_(id, memo[static_cast<std::size_t>(id)]);
@@ -633,7 +697,8 @@ void PatchRuntime<Traits>::stage(const nn::Tensor& input, std::uint8_t* base,
 template <class Traits>
 void PatchRuntime<Traits>::exec_branch(std::int64_t b, std::uint8_t* base,
                                        std::span<const nn::ArenaSlot> slots,
-                                       Lane& lane, bool* merge_changed) const {
+                                       Lane& lane, bool* merge_changed,
+                                       const Observer* observe) const {
   const nn::Graph& g = graph();
   const int bi = static_cast<int>(b);
   const PatchBranch& branch = plan_.branches[static_cast<std::size_t>(b)];
@@ -647,8 +712,8 @@ void PatchRuntime<Traits>::exec_branch(std::int64_t b, std::uint8_t* base,
     };
     const bool pool = layer.kind == nn::OpKind::MaxPool ||
                       layer.kind == nn::OpKind::AvgPool;
-    // Pools never requantize: their slot carries the producer's actual
-    // params, exactly as the legacy executor's region tensors do.
+    // Pools never requantize: their slot carries the producer step's
+    // actual params.
     Tensor out = bind_slot(
         base, slots[static_cast<std::size_t>(s)],
         nn::TensorShape{step.out_region.y.size(), step.out_region.x.size(),
@@ -708,6 +773,7 @@ void PatchRuntime<Traits>::exec_branch(std::int64_t b, std::uint8_t* base,
         QMCU_REQUIRE(false, "op kind not supported inside a patch stage: " +
                                 std::string(nn::to_string(layer.kind)));
     }
+    if (observe != nullptr) (*observe)(bi, s, out);
     lane.step_views[static_cast<std::size_t>(s)] = std::move(out);
   }
   const BranchStep& last = branch.steps.back();
@@ -722,14 +788,16 @@ void PatchRuntime<Traits>::exec_branch(std::int64_t b, std::uint8_t* base,
 template <class Traits>
 void PatchRuntime<Traits>::run_branch(std::int64_t b, std::uint8_t* base,
                                       std::span<const nn::ArenaSlot> slots,
-                                      Lane& lane, StreamState* stream) const {
+                                      Lane& lane, StreamState* stream,
+                                      const Observer* observe) const {
   // Streaming frames skip clean branches; dirty ones report whether their
   // merge changed any retained byte.
   if (stream != nullptr && !stream->branch_dirty[static_cast<std::size_t>(b)]) {
     return;
   }
   bool changed = false;
-  exec_branch(b, base, slots, lane, stream != nullptr ? &changed : nullptr);
+  exec_branch(b, base, slots, lane, stream != nullptr ? &changed : nullptr,
+              observe);
   if (stream != nullptr) {
     stream->branches_run.fetch_add(1, std::memory_order_relaxed);
     if (changed) {
@@ -804,23 +872,34 @@ void PatchRuntime<Traits>::exec_tail_band(int layer_id, const Interval& rows,
 }
 
 template <class Traits>
-void PatchRuntime<Traits>::run_rest(Lane& lane,
-                                    const StreamState* stream) const {
+void PatchRuntime<Traits>::run_tail_layer(int id, Lane& lane,
+                                          const Observer* observe) const {
+  this->run_layer(id, tail_memo_, lane.backend);
+  if (observe != nullptr) {
+    (*observe)(-1, id, tail_memo_[static_cast<std::size_t>(id)]);
+  }
+}
+
+template <class Traits>
+void PatchRuntime<Traits>::run_rest(Lane& lane, const StreamState* stream,
+                                    const Observer* observe) const {
   if (stream != nullptr && !stream->frame_changed_output()) return;
   const int first_rest =
       plan_.spec.split_layer + 1 + static_cast<int>(pipeline_.size());
   for (int id = first_rest; id < graph().size(); ++id) {
-    this->run_layer(id, tail_memo_, lane.backend);
+    run_tail_layer(id, lane, observe);
   }
 }
 
 template <class Traits>
 void PatchRuntime<Traits>::run_inline(std::uint8_t* base,
                                       std::span<const nn::ArenaSlot> slice,
-                                      StreamState* stream) const {
+                                      StreamState* stream,
+                                      const Observer* observe) const {
   ready_lane(main_);
   for (std::size_t b = 0; b < plan_.branches.size(); ++b) {
-    run_branch(static_cast<std::int64_t>(b), base, slice, main_, stream);
+    run_branch(static_cast<std::int64_t>(b), base, slice, main_, stream,
+               observe);
   }
   for (std::size_t pi = 0; pi < pipeline_.size(); ++pi) {
     const PipelinedTailLayer& pl = pipeline_[pi];
@@ -834,8 +913,9 @@ void PatchRuntime<Traits>::run_inline(std::uint8_t* base,
     }
     if (needed == nb) {
       // Every band must run: with one lane the bands buy no overlap, so
-      // run the layer whole (bit-identical, no per-band halo crop).
-      this->run_layer(pl.layer_id, tail_memo_, main_.backend);
+      // run the layer whole (bit-identical, no per-band halo crop). Runs
+      // without a stream always take this path, observed runs included.
+      run_tail_layer(pl.layer_id, main_, observe);
       if (stream != nullptr) {
         for (std::size_t j = 0; j < nb; ++j) stream_mark_band(*stream, pi, j);
       }
@@ -843,7 +923,7 @@ void PatchRuntime<Traits>::run_inline(std::uint8_t* base,
     }
     for (std::size_t j = 0; j < nb; ++j) run_band(pi, j, main_, stream);
   }
-  run_rest(main_, stream);
+  run_rest(main_, stream, observe);
 }
 
 template <class Traits>
@@ -872,7 +952,8 @@ nn::TaskGraph& PatchRuntime<Traits>::pipeline_graph(int num_workers) const {
             for (std::int64_t b = b0; b < b1; ++b) {
               run_branch(b, run_data_ + run_pplan_->slice_offset(lane),
                          run_pplan_->slice.slots,
-                         *lanes_[static_cast<std::size_t>(lane)], run_stream_);
+                         *lanes_[static_cast<std::size_t>(lane)], run_stream_,
+                         nullptr);
             }
           }));
     }
@@ -901,7 +982,7 @@ nn::TaskGraph& PatchRuntime<Traits>::pipeline_graph(int num_workers) const {
   // classifier head) runs once, after every branch and band retired.
   const int join_preds = graph.size();
   const int join = graph.add([this](int lane) {
-    run_rest(*lanes_[static_cast<std::size_t>(lane)], run_stream_);
+    run_rest(*lanes_[static_cast<std::size_t>(lane)], run_stream_, nullptr);
   });
   for (int t = 0; t < join_preds; ++t) graph.depend(join, t);
   return pipeline_graphs_.emplace(num_workers, std::move(graph)).first->second;
@@ -909,8 +990,8 @@ nn::TaskGraph& PatchRuntime<Traits>::pipeline_graph(int num_workers) const {
 
 template <class Traits>
 auto PatchRuntime<Traits>::execute(const nn::Tensor& input,
-                                   nn::WorkerPool* pool,
-                                   StreamState* stream) const -> Tensor {
+                                   nn::WorkerPool* pool, StreamState* stream,
+                                   const Observer* observe) const -> Tensor {
   const nn::Graph& g = graph();
   QMCU_REQUIRE(input.shape() == g.shape(g.inputs().front()),
                "input shape does not match graph input");
@@ -959,11 +1040,14 @@ auto PatchRuntime<Traits>::execute(const nn::Tensor& input,
     run_inline(arena.data(),
                pplan != nullptr ? std::span(pplan->slice.slots)
                                 : slots.first(steps),
-               stream);
+               stream, observe);
     measured_ = std::max(measured_, main_.measured);
   }
-  if (stream != nullptr) stream->primed = true;
-  this->after_run(plan_.spec.split_layer, tail_memo_);
+  if (stream != nullptr) {
+    stream->primed = true;
+    // Only the streaming layout keeps every tail slot alive to here.
+    this->after_stream_frame(plan_.spec.split_layer, tail_memo_);
+  }
   return tail_memo_[static_cast<std::size_t>(g.output())];
 }
 
@@ -1078,15 +1162,6 @@ CompiledPatchQuantModel::CompiledPatchQuantModel(
                  "precomputed branch bias must cover every branch");
     branch_bias_ = std::move(parts.branch_bias);
   }
-}
-
-const nn::QuantParams& CompiledPatchQuantModel::step_params(int branch,
-                                                            int step) const {
-  return branch_params(branch, step,
-                       this->plan()
-                           .branches[static_cast<std::size_t>(branch)]
-                           .steps[static_cast<std::size_t>(step)]
-                           .layer_id);
 }
 
 }  // namespace qmcu::patch

@@ -8,8 +8,10 @@
 // (FloatPatchTraits, QuantPatchTraits) supply only what differs — the
 // tensor type and slot binding, input staging, the per-step kernel calls
 // and their bias/params/pool tables, the whole-layer call, lane prepacking
-// and the post-run stats hook. CompiledPatchModel and
-// CompiledPatchQuantModel are the two instantiations.
+// and the streaming stats hook. CompiledPatchModel and
+// CompiledPatchQuantModel are the two instantiations. It is the only patch
+// dataflow: serving, streaming and offline planning (VDQS profiling through
+// the observed run) all execute it.
 //
 // Compilation plans, once:
 //
@@ -53,6 +55,11 @@
 // run_streaming() reuses the same graph over a retained arena (see
 // StreamState): clean branches and tail bands downstream of unchanged rows
 // are skipped.
+//
+// The observed run(input, observe) is the sequential path with a callback
+// after every branch step and every tail layer, while that feature map's
+// bytes are still live — how planning profiles every map patch inference
+// computes in one pass.
 //
 // Halo crop temporaries are scratch (a grow-only pool reused across steps),
 // not feature maps, and are accounted via scratch_bytes().
@@ -110,12 +117,25 @@ std::vector<PipelinedTailLayer> build_pipelined_tail(
 // actual input scales (empty vectors for non-MAC steps). The branch's step
 // parameters set the real input scale of each MAC step, so biases must be
 // rescaled per branch (the shared QuantizedParameters bias table is built
-// against the deployment config). Shared by the legacy executor and the
-// compiled model.
+// against the deployment config). Shared by the compiled model and the
+// patch-artifact writer.
 std::vector<std::vector<std::vector<std::int32_t>>> build_branch_bias(
     const nn::Graph& g, const PatchPlan& plan,
     std::span<const BranchQuantConfig> branch_cfgs,
     const nn::QuantizedParameters& params);
+
+// Extracts region `want` (unclamped) of a feature map with full extent
+// `full` from `have`, which holds region `avail` of it, into `out` (shape
+// `want` x channels). Out-of-bounds positions carry real 0 — zero for float,
+// the zero point for quantized maps (`out` must carry `have`'s params) —
+// i.e. genuine zero padding. Every in-bounds element of `want` must lie
+// inside `avail`.
+void crop_from_region_into(const nn::Tensor& have, const Region& avail,
+                           const Region& want, const nn::TensorShape& full,
+                           nn::Tensor& out);
+void crop_from_region_q_into(const nn::QTensor& have, const Region& avail,
+                             const Region& want, const nn::TensorShape& full,
+                             nn::QTensor& out);
 
 // Construction-time products precomputed by the plan-artifact loader:
 // mixed-mode branch biases, the row-banded pipeline structure, and the
@@ -233,7 +253,7 @@ class FloatPatchTraits {
   // adopt or prepack, and no stats hook.
   void adopt_kernels(nn::ops::KernelBackend&) const {}
   void prepack_lane(nn::ops::KernelBackend&, const PatchPlan&) const {}
-  void after_run(int, std::span<const Tensor>) const {}
+  void after_stream_frame(int, std::span<const Tensor>) const {}
 
   const nn::Graph* graph_;
 };
@@ -243,10 +263,13 @@ class QuantPatchTraits {
   using Tensor = nn::QTensor;
   using Params = nn::QuantParams;
 
-  // Opt-in activation statistics: called once per completed run on the
-  // calling thread, for the assembled cut layer and every tail layer, with
-  // the layer's output view (drift tracking — see
-  // nn::streaming::ActivationStatsTracker). Null clears it.
+  // Opt-in activation statistics for streaming frames: called once per
+  // completed run_streaming frame on the calling thread, for the assembled
+  // cut layer and every tail layer, with the layer's output view (drift
+  // tracking — see nn::streaming::ActivationStatsTracker). Only the
+  // streaming layout keeps every tail slot alive to the end of a run, so
+  // run() and run(input, pool) never call it: their tail slots overlay
+  // one another. Null clears it.
   void set_stats_hook(
       std::function<void(int, const nn::QTensor&)> hook) const {
     stats_hook_ = std::move(hook);
@@ -254,21 +277,6 @@ class QuantPatchTraits {
   [[nodiscard]] const std::shared_ptr<const nn::QuantizedParameters>&
   shared_parameters() const {
     return params_;
-  }
-  // Compile-time tables, exposed so the owning executor's legacy paths
-  // reuse them instead of rebuilding their own copies.
-  [[nodiscard]] const nn::ActivationQuantConfig& config() const {
-    return cfg_;
-  }
-  [[nodiscard]] std::span<const nn::QuantParams> effective_params() const {
-    return effective_;
-  }
-  [[nodiscard]] std::span<const BranchQuantConfig> branch_configs() const {
-    return branch_cfgs_;
-  }
-  [[nodiscard]] const std::vector<std::vector<std::vector<std::int32_t>>>&
-  branch_bias() const {
-    return branch_bias_;
   }
 
  protected:
@@ -305,7 +313,7 @@ class QuantPatchTraits {
   }
   void prepack_lane(nn::ops::KernelBackend& backend,
                     const PatchPlan& plan) const;
-  void after_run(int first_layer, std::span<const Tensor> memo) const;
+  void after_stream_frame(int first_layer, std::span<const Tensor> memo) const;
 
   const nn::Graph* graph_;
   nn::ActivationQuantConfig cfg_;
@@ -330,9 +338,21 @@ template <class Traits>
 class PatchRuntime : public Traits {
  public:
   using Tensor = typename Traits::Tensor;
+  // Called as observe(branch, step, map) after every branch step, on the
+  // step's out_region view, and as observe(-1, layer_id, map) after every
+  // tail layer (branch < 0 is the tail). The view is valid only during the
+  // call: the arena reuses its bytes later in the run.
+  using Observer = std::function<void(int, int, const Tensor&)>;
 
   [[nodiscard]] Tensor run(const nn::Tensor& input) const {
-    return execute(input, nullptr, nullptr);
+    return execute(input, nullptr, nullptr, nullptr);
+  }
+  // The sequential run with `observe` called on the calling thread at
+  // compute time (see Observer) — every feature map patch inference
+  // computes, in one pass. Bit-identical to run().
+  [[nodiscard]] Tensor run(const nn::Tensor& input,
+                           const Observer& observe) const {
+    return execute(input, nullptr, nullptr, observe ? &observe : nullptr);
   }
   // Pipelined dataflow run: branch tasks and tail row-band tasks scheduled
   // as one dependency graph over `pool` (see the header comment).
@@ -340,7 +360,7 @@ class PatchRuntime : public Traits {
   // null pool or a 1-worker pool takes the sequential path exactly.
   [[nodiscard]] Tensor run(const nn::Tensor& input,
                            nn::WorkerPool* pool) const {
-    return execute(input, pool, nullptr);
+    return execute(input, pool, nullptr, nullptr);
   }
   // Temporal-reuse run over `state` (see StreamState): only branches with
   // state.branch_dirty set are recomputed — clean branches contribute
@@ -355,7 +375,7 @@ class PatchRuntime : public Traits {
   [[nodiscard]] Tensor run_streaming(const nn::Tensor& input,
                                      nn::WorkerPool* pool,
                                      StreamState& state) const {
-    return execute(input, pool, &state);
+    return execute(input, pool, &state, nullptr);
   }
 
   [[nodiscard]] const nn::ArenaPlan& arena_plan() const { return aplan_; }
@@ -395,11 +415,6 @@ class PatchRuntime : public Traits {
   [[nodiscard]] std::int64_t scratch_bytes() const;
   [[nodiscard]] const PatchPlan& plan() const { return plan_; }
   [[nodiscard]] const nn::Graph& graph() const { return *this->graph_; }
-  // Shared with the owning executor's legacy (hooked) paths so only one
-  // scratch arena + weight-panel cache exists per executor.
-  [[nodiscard]] nn::ops::KernelBackend& backend() const {
-    return main_.backend;
-  }
 
  protected:
   template <class... TraitArgs>
@@ -434,10 +449,11 @@ class PatchRuntime : public Traits {
                                      std::vector<std::uint8_t>& owned,
                                      bool retained) const;
   // Every entry point: validate, pick and bind the layout, run the branch
-  // phase and the tail sequentially or as the task graph, then the
-  // post-run hook. `stream` selects the retained streaming layout.
+  // phase and the tail sequentially or as the task graph, then (streaming
+  // frames) the stats hook. `stream` selects the retained streaming
+  // layout; `observe` (sequential runs only) sees every map as computed.
   Tensor execute(const nn::Tensor& input, nn::WorkerPool* pool,
-                 StreamState* stream) const;
+                 StreamState* stream, const Observer* observe) const;
   // Stages the input and binds the assembled map + every tail layer's view
   // over `shared` (tail slots first, then the assembled map and the
   // quantized input) at `base`.
@@ -447,14 +463,15 @@ class PatchRuntime : public Traits {
   // Runs one branch's steps against the slot layout `slots` (indices equal
   // step indices) at `base`, then merges the final tile into the assembled
   // map. With `merge_changed` set the merge compares before writing and
-  // reports whether any assembled byte changed.
+  // reports whether any assembled byte changed; with `observe` set each
+  // step's view is reported as soon as it is computed.
   void exec_branch(std::int64_t b, std::uint8_t* base,
                    std::span<const nn::ArenaSlot> slots, Lane& lane,
-                   bool* merge_changed) const;
+                   bool* merge_changed, const Observer* observe) const;
   // exec_branch plus the streaming dirty/changed bookkeeping and the hook.
   void run_branch(std::int64_t b, std::uint8_t* base,
                   std::span<const nn::ArenaSlot> slots, Lane& lane,
-                  StreamState* stream) const;
+                  StreamState* stream, const Observer* observe) const;
   // Computes output rows `rows` of banded tail layer `layer_id` from the
   // pre-bound tail views.
   void exec_tail_band(int layer_id, const Interval& rows, Lane& lane) const;
@@ -462,11 +479,14 @@ class PatchRuntime : public Traits {
   void run_band(std::size_t pi, std::size_t j, Lane& lane,
                 StreamState* stream) const;
   // The non-banded rest of the tail (skipped by unchanged stream frames).
-  void run_rest(Lane& lane, const StreamState* stream) const;
-  // The whole run on the calling thread's lane (sequential run and
-  // single-lane streaming).
+  void run_rest(Lane& lane, const StreamState* stream,
+                const Observer* observe) const;
+  // Runs tail layer `id` whole on `lane` and reports it to `observe`.
+  void run_tail_layer(int id, Lane& lane, const Observer* observe) const;
+  // The whole run on the calling thread's lane (sequential run, observed
+  // run and single-lane streaming).
   void run_inline(std::uint8_t* base, std::span<const nn::ArenaSlot> slice,
-                  StreamState* stream) const;
+                  StreamState* stream, const Observer* observe) const;
   // The cached dataflow graph for `num_workers` lanes. Its task bodies
   // capture only `this`: per-run state (arena base, plan, stream) is
   // staged in the run_* members before dispatch, so the graph — chunking,
@@ -548,12 +568,6 @@ class CompiledPatchQuantModel : public PatchRuntime<QuantPatchTraits> {
       std::shared_ptr<const nn::QuantizedParameters> params,
       PrecompiledPatchParts parts,
       nn::ops::KernelTier tier = nn::ops::KernelTier::Simd);
-
-  // Params resolution for branch step `step` of branch `branch` (see
-  // QuantPatchTraits::branch_params). Shared with the owning executor's
-  // legacy path so both resolve identically.
-  [[nodiscard]] const nn::QuantParams& step_params(int branch,
-                                                   int step) const;
 };
 
 }  // namespace qmcu::patch

@@ -191,7 +191,7 @@ void merge_region_q(const nn::QTensor& tile, const Region& r,
     return;
   }
   // Mixed mode: rescale into the assembled map's params — the same values
-  // the legacy path produces via requantize_q + per-element scatter.
+  // a whole-tile requantize followed by a per-element scatter produces.
   const nn::ops::ElementRequantizer rq(static_cast<double>(p.scale) /
                                        static_cast<double>(t.scale));
   const std::int32_t qmin = t.qmin();

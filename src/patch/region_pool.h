@@ -6,7 +6,7 @@
 // count only. A zero-filled crop would silently change both (e.g. the max
 // of an all-negative window). These helpers evaluate pool windows in the
 // feature map's global coordinate space, skipping positions outside the
-// map, and are the pooling path of both patch executors.
+// map, and are the patch runtime's pooling path.
 #pragma once
 
 #include "nn/graph.h"
@@ -20,7 +20,7 @@ namespace qmcu::patch {
 // region tensor `have` covering `avail` of a map with full extent `full`.
 // The `_into` forms write into a caller-bound destination sized
 // out_region x channels (quantized destinations carry the producer's
-// params) — the compiled patch executor's allocation-free path.
+// params) — the compiled patch runtime's allocation-free path.
 nn::Tensor pool_region_f32(const nn::Tensor& have, const Region& avail,
                            const nn::Layer& l, const Region& out_region,
                            const nn::TensorShape& full);

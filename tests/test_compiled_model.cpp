@@ -1,7 +1,8 @@
 // Compiled arena execution (nn/compiled_model.h, patch/compiled_patch_model.h)
-// must be bit-identical to the heap-per-layer legacy paths across float,
+// must be bit-identical to the heap-per-layer memo paths (layer-based) and
+// to the test-only per-step patch reference (patch_reference.h) across
 // int8 and mixed sub-byte patch modes, for owned and caller-provided
-// arenas, and must share prebuilt QuantizedParameters across executors.
+// arenas, and must share prebuilt QuantizedParameters across models.
 #include <gtest/gtest.h>
 
 #include "core/quantmcu.h"
@@ -14,8 +15,7 @@
 #include "nn/rng.h"
 #include "patch/compiled_patch_model.h"
 #include "patch/mcunetv2.h"
-#include "patch/patch_executor.h"
-#include "patch/patch_quant_executor.h"
+#include "patch_reference.h"
 #include "quant/calibration.h"
 
 namespace qmcu {
@@ -213,42 +213,14 @@ TEST(CompiledQuantModel, SharedParametersAcrossExecutors) {
 
 // --- patch parity ------------------------------------------------------------
 
-TEST(CompiledPatchModel, MatchesLegacyHookedPath) {
-  const nn::Graph g = mbv2_net();
-  const patch::PatchPlan plan =
-      patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::PatchExecutor pexec(g, plan);
-  const nn::Tensor in = random_input(g.shape(0), 15);
-  // A no-op hook forces the legacy per-step-tensor path.
-  const patch::PatchExecutor::StepHook noop = [](int, int, nn::Tensor&) {};
-  expect_f_identical(pexec.run(in), pexec.run(in, noop));
-}
+// Every map the compiled model computes — each branch step as observed,
+// every tail layer, the output — against the independent per-step
+// reference, in uniform int8 and in the VDQS mixed mode (which has no
+// layer-based equivalent).
+class CompiledPatchQuantReference : public ::testing::TestWithParam<bool> {};
 
-TEST(CompiledPatchQuantModel, UniformMatchesLegacyReconstruction) {
-  const nn::Graph g = mbv2_net();
-  const auto ranges = quant::calibrate_ranges(
-      g, std::vector<nn::Tensor>{random_input(g.shape(0), 16)});
-  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
-  const patch::PatchPlan plan =
-      patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::PatchQuantExecutor pexec(g, plan, cfg);
-  const nn::Tensor in = random_input(g.shape(0), 17);
-
-  // Legacy full inference: per-step region tensors + heap tail.
-  const int split = pexec.plan().spec.split_layer;
-  const auto effective = nn::effective_output_params(g, cfg);
-  std::vector<nn::QTensor> memo(static_cast<std::size_t>(g.size()));
-  memo[static_cast<std::size_t>(split)] = pexec.run_stage_assembled(in);
-  for (int id = split + 1; id < g.size(); ++id) {
-    memo[static_cast<std::size_t>(id)] =
-        nn::run_layer_q(g, id, memo, *pexec.shared_parameters(),
-                        effective[static_cast<std::size_t>(id)]);
-  }
-  expect_q_identical(pexec.run(in),
-                     memo[static_cast<std::size_t>(g.output())]);
-}
-
-TEST(CompiledPatchQuantModel, MixedModeMatchesLegacyReconstruction) {
+TEST_P(CompiledPatchQuantReference, MatchesReferenceMapByMap) {
+  const bool mixed = GetParam();
   const nn::Graph g = mbv2_net();
   data::DataConfig dc;
   dc.resolution = 48;
@@ -261,26 +233,46 @@ TEST(CompiledPatchQuantModel, MixedModeMatchesLegacyReconstruction) {
   const core::QuantMcuPlan plan = core::build_quantmcu_plan(
       g, mcu::arduino_nano_33_ble_sense(), calib, qcfg);
   const auto ranges = quant::calibrate_ranges(g, calib);
-  const auto branch_cfgs = core::make_branch_quant_configs(g, plan, ranges);
-  const auto deploy_cfg = core::make_deployment_quant_config(g, plan, ranges);
-  const patch::PatchQuantExecutor pexec(g, plan.patch_plan, deploy_cfg,
-                                        branch_cfgs);
+  const nn::ActivationQuantConfig cfg =
+      mixed ? core::make_deployment_quant_config(g, plan, ranges)
+            : quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+  const std::vector<patch::BranchQuantConfig> branch_cfgs =
+      mixed ? core::make_branch_quant_configs(g, plan, ranges)
+            : std::vector<patch::BranchQuantConfig>{};
+  const patch::CompiledPatchQuantModel model(g, plan.patch_plan, cfg,
+                                             branch_cfgs);
+  const patch::ReferencePatchQuant ref(g, plan.patch_plan, cfg, branch_cfgs);
   const nn::Tensor in = ds.image(19);
 
-  const int split = pexec.plan().spec.split_layer;
-  const auto effective = nn::effective_output_params(g, deploy_cfg);
-  std::vector<nn::QTensor> memo(static_cast<std::size_t>(g.size()));
-  memo[static_cast<std::size_t>(split)] = pexec.run_stage_assembled(in);
-  for (int id = split + 1; id < g.size(); ++id) {
-    memo[static_cast<std::size_t>(id)] =
-        nn::run_layer_q(g, id, memo, *pexec.shared_parameters(),
-                        effective[static_cast<std::size_t>(id)]);
+  std::vector<std::vector<nn::QTensor>> steps;
+  for (int b = 0; b < static_cast<int>(plan.patch_plan.branches.size());
+       ++b) {
+    steps.push_back(ref.run_branch(in, b));
   }
-  expect_q_identical(pexec.run(in),
-                     memo[static_cast<std::size_t>(g.output())]);
+  const std::vector<nn::QTensor> tail = ref.run_tail(in);
+  int observed = 0;
+  const nn::QTensor out =
+      model.run(in, [&](int b, int index, const nn::QTensor& fm) {
+        ++observed;
+        expect_q_identical(
+            fm, b >= 0 ? steps[static_cast<std::size_t>(b)]
+                              [static_cast<std::size_t>(index)]
+                       : tail[static_cast<std::size_t>(index)]);
+      });
+  int expected = g.size() - plan.patch_plan.spec.split_layer - 1;
+  for (const auto& branch : steps) expected += static_cast<int>(branch.size());
+  EXPECT_EQ(observed, expected);
+  expect_q_identical(out, tail[static_cast<std::size_t>(g.output())]);
+  expect_q_identical(model.run(in), out);
 }
 
-TEST(CompiledPatchQuantModel, SharedParametersAcrossPatchExecutors) {
+INSTANTIATE_TEST_SUITE_P(UniformAndMixed, CompiledPatchQuantReference,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Mixed" : "UniformInt8";
+                         });
+
+TEST(CompiledPatchQuantModel, SharedParametersAcrossModels) {
   const nn::Graph g = mbv2_net();
   const auto ranges = quant::calibrate_ranges(
       g, std::vector<nn::Tensor>{random_input(g.shape(0), 20)});
@@ -288,8 +280,8 @@ TEST(CompiledPatchQuantModel, SharedParametersAcrossPatchExecutors) {
   const auto params = nn::QuantizedParameters::build_shared(g, cfg);
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::PatchQuantExecutor a(g, plan, cfg,
-                                    nn::ops::KernelTier::Fast, params);
+  const patch::CompiledPatchQuantModel a(g, plan, cfg, {},
+                                         nn::ops::KernelTier::Fast, params);
   const nn::QuantExecutor layer(g, cfg, nn::ops::KernelTier::Fast, params);
   EXPECT_EQ(a.shared_parameters().get(), params.get());
   const nn::Tensor in = random_input(g.shape(0), 21);

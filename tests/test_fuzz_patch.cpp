@@ -13,8 +13,7 @@
 #include "nn/executor.h"
 #include "nn/memory_planner.h"
 #include "nn/rng.h"
-#include "patch/patch_executor.h"
-#include "patch/patch_quant_executor.h"
+#include "patch/compiled_patch_model.h"
 #include "quant/calibration.h"
 
 namespace qmcu::patch {
@@ -89,7 +88,7 @@ TEST_P(FuzzedTopology, FloatPatchInferenceBitExact) {
   PatchSpec spec;
   spec.split_layer = cut;
   spec.grid_rows = spec.grid_cols = 2;
-  const PatchExecutor pexec(g, build_patch_plan(g, spec));
+  const CompiledPatchModel pexec(g, build_patch_plan(g, spec));
   const nn::Executor exec(g);
   const nn::Tensor in = random_input(g.shape(0), seed + 1);
   const nn::Tensor a = pexec.run(in);
@@ -112,7 +111,7 @@ TEST_P(FuzzedTopology, QuantizedPatchInferenceBitExact) {
   PatchSpec spec;
   spec.split_layer = cut;
   spec.grid_rows = spec.grid_cols = 2;
-  const PatchQuantExecutor pexec(g, build_patch_plan(g, spec), cfg);
+  const CompiledPatchQuantModel pexec(g, build_patch_plan(g, spec), cfg);
   const nn::QuantExecutor qexec(g, cfg);
   const nn::Tensor in = random_input(g.shape(0), seed + 3);
   const nn::QTensor a = pexec.run(in);

@@ -29,7 +29,7 @@
 #include "nn/ops/int8_kernels.h"
 #include "nn/rng.h"
 #include "patch/mcunetv2.h"
-#include "patch/patch_quant_executor.h"
+#include "patch/compiled_patch_model.h"
 #include "quant/bitpack.h"
 #include "quant/calibration.h"
 
@@ -818,7 +818,7 @@ TEST(BackendRegression, QuantExecutorTierInvariant) {
   expect_q_identical(want, simd.run(in));
 }
 
-TEST(BackendRegression, PatchQuantExecutorMixedModeTierInvariant) {
+TEST(BackendRegression, CompiledPatchQuantModelMixedModeTierInvariant) {
   const nn::Graph g = small_mbv2();
   data::DataConfig dc;
   dc.resolution = 48;
@@ -834,12 +834,13 @@ TEST(BackendRegression, PatchQuantExecutorMixedModeTierInvariant) {
   const auto branch_cfgs = core::make_branch_quant_configs(g, plan, ranges);
   const auto deploy_cfg = core::make_deployment_quant_config(g, plan, ranges);
 
-  const PatchQuantExecutor ref(g, plan.patch_plan, deploy_cfg, branch_cfgs,
-                               nn::ops::KernelTier::Reference);
-  const PatchQuantExecutor fast(g, plan.patch_plan, deploy_cfg, branch_cfgs,
-                                nn::ops::KernelTier::Fast);
-  const PatchQuantExecutor simd(g, plan.patch_plan, deploy_cfg, branch_cfgs,
-                                nn::ops::KernelTier::Simd);
+  const CompiledPatchQuantModel ref(g, plan.patch_plan, deploy_cfg,
+                                    branch_cfgs,
+                                    nn::ops::KernelTier::Reference);
+  const CompiledPatchQuantModel fast(g, plan.patch_plan, deploy_cfg,
+                                     branch_cfgs, nn::ops::KernelTier::Fast);
+  const CompiledPatchQuantModel simd(g, plan.patch_plan, deploy_cfg,
+                                     branch_cfgs, nn::ops::KernelTier::Simd);
   const nn::Tensor in = ds.image(11);
   const nn::QTensor want = ref.run(in);
   expect_q_identical(want, fast.run(in));
@@ -874,12 +875,13 @@ TEST(BackendRegression, ExecutorsTierInvariantUnderForcedLut) {
       g, mcu::arduino_nano_33_ble_sense(), calib, qcfg);
   const auto branch_cfgs = core::make_branch_quant_configs(g, plan, ranges);
   const auto deploy_cfg = core::make_deployment_quant_config(g, plan, ranges);
-  const PatchQuantExecutor ref(g, plan.patch_plan, deploy_cfg, branch_cfgs,
-                               nn::ops::KernelTier::Reference);
-  const PatchQuantExecutor fast(g, plan.patch_plan, deploy_cfg, branch_cfgs,
-                                nn::ops::KernelTier::Fast);
-  const PatchQuantExecutor simd(g, plan.patch_plan, deploy_cfg, branch_cfgs,
-                                nn::ops::KernelTier::Simd);
+  const CompiledPatchQuantModel ref(g, plan.patch_plan, deploy_cfg,
+                                    branch_cfgs,
+                                    nn::ops::KernelTier::Reference);
+  const CompiledPatchQuantModel fast(g, plan.patch_plan, deploy_cfg,
+                                     branch_cfgs, nn::ops::KernelTier::Fast);
+  const CompiledPatchQuantModel simd(g, plan.patch_plan, deploy_cfg,
+                                     branch_cfgs, nn::ops::KernelTier::Simd);
   const nn::Tensor in = ds.image(13);
   const nn::QTensor want = ref.run(in);
   expect_q_identical(want, fast.run(in));
@@ -906,16 +908,16 @@ TEST(BackendRegression, QuantExecutorDotGenerationInvariant) {
   expect_q_identical(want, dot.run(in));
 }
 
-TEST(BackendRegression, PatchExecutorFloatTierInvariant) {
+TEST(BackendRegression, CompiledPatchModelFloatTierInvariant) {
   const nn::Graph g = small_mbv2();
   const PatchSpec spec = plan_mcunetv2(g, {2, 4});
-  const PatchExecutor ref(g, build_patch_plan(g, spec),
-                          nn::ops::KernelTier::Reference);
+  const CompiledPatchModel ref(g, build_patch_plan(g, spec),
+                               nn::ops::KernelTier::Reference);
   const nn::Tensor in = random_input(g.shape(0), 23);
   const nn::Tensor a = ref.run(in);
   for (const nn::ops::KernelTier tier :
        {nn::ops::KernelTier::Fast, nn::ops::KernelTier::Simd}) {
-    const PatchExecutor fast(g, build_patch_plan(g, spec), tier);
+    const CompiledPatchModel fast(g, build_patch_plan(g, spec), tier);
     const nn::Tensor b = fast.run(in);
     ASSERT_EQ(a.shape(), b.shape());
     for (std::size_t i = 0; i < a.data().size(); ++i) {

@@ -21,8 +21,6 @@
 #include "nn/runtime/worker_pool.h"
 #include "patch/compiled_patch_model.h"
 #include "patch/mcunetv2.h"
-#include "patch/patch_executor.h"
-#include "patch/patch_quant_executor.h"
 #include "patch/region_pool.h"
 #include "quant/calibration.h"
 
@@ -62,20 +60,20 @@ void expect_q_identical(const nn::QTensor& a, const nn::QTensor& b) {
 
 // --- executor entry points ------------------------------------------------
 
-TEST(ParallelPatch, ExecutorEntryPointsMatch) {
+TEST(ParallelPatch, ModelEntryPointsMatch) {
   const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
   const nn::Tensor in = random_input(g.shape(0), 23);
   nn::WorkerPool pool(4);
 
-  const patch::PatchExecutor pexec(g, plan);
-  expect_f_identical(pexec.run_parallel(in, &pool), pexec.run(in));
+  const patch::CompiledPatchModel pexec(g, plan);
+  expect_f_identical(pexec.run(in, &pool), pexec.run(in));
 
   const auto ranges = quant::calibrate_ranges(g, std::vector<nn::Tensor>{in});
   const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
-  const patch::PatchQuantExecutor qexec(g, plan, cfg);
-  expect_q_identical(qexec.run_parallel(in, &pool), qexec.run(in));
+  const patch::CompiledPatchQuantModel qexec(g, plan, cfg);
+  expect_q_identical(qexec.run(in, &pool), qexec.run(in));
 }
 
 // --- region-merge determinism under shuffled completion order ---------------

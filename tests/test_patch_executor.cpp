@@ -1,14 +1,22 @@
-// The core correctness invariant of patch-based inference: the patch
-// executor must reproduce layer-based results bit for bit (paper Fig. 1a —
-// halos exist precisely so that no receptive field is truncated).
+// The core correctness invariant of patch-based inference: the compiled
+// patch model must reproduce layer-based results bit for bit (paper Fig. 1a
+// — halos exist precisely so that no receptive field is truncated), and its
+// observed run must report every feature map it computes exactly as the
+// layer-based executor computes it.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "models/weights.h"
 #include "models/zoo.h"
 #include "nn/executor.h"
+#include "nn/memory_planner.h"
 #include "nn/rng.h"
+#include "patch/compiled_patch_model.h"
 #include "patch/mcunetv2.h"
-#include "patch/patch_executor.h"
+#include "quant/calibration.h"
 
 namespace qmcu::patch {
 namespace {
@@ -54,7 +62,7 @@ TEST_P(PatchEquivalence, MatchesLayerBasedBitForBit) {
   PatchSpec spec;
   spec.split_layer = split;
   spec.grid_rows = spec.grid_cols = grid;
-  const PatchExecutor pexec(g, build_patch_plan(g, spec));
+  const CompiledPatchModel pexec(g, build_patch_plan(g, spec));
   const nn::Executor exec(g);
   const nn::Tensor in = random_input(g.shape(0), 7);
   expect_identical(pexec.run(in), exec.run(in));
@@ -66,78 +74,30 @@ INSTANTIATE_TEST_SUITE_P(SplitsAndGrids, PatchEquivalence,
                                            GridCase{4, 2}, GridCase{4, 4},
                                            GridCase{5, 3}));
 
-TEST(PatchExecutor, AssembledStageMatchesLayerBasedFeatureMap) {
-  const nn::Graph g = stage_net();
-  PatchSpec spec;
-  spec.split_layer = 4;  // the depthwise
-  spec.grid_rows = spec.grid_cols = 3;
-  const PatchExecutor pexec(g, build_patch_plan(g, spec));
-  const nn::Executor exec(g);
-  const nn::Tensor in = random_input(g.shape(0), 8);
-  const auto fms = exec.run_all(in);
-  expect_identical(pexec.run_stage_assembled(in), fms[4]);
-}
-
-TEST(PatchExecutor, MobileNetV2PatchInferenceExact) {
+TEST(CompiledPatchModel, MobileNetV2PatchInferenceExact) {
   models::ModelConfig cfg;
   cfg.width_multiplier = 0.25f;
   cfg.resolution = 48;
   cfg.num_classes = 10;
   const nn::Graph g = models::make_mobilenet_v2(cfg);
   const PatchSpec spec = plan_mcunetv2(g, {/*grid=*/2, /*downsample=*/4});
-  const PatchExecutor pexec(g, build_patch_plan(g, spec));
+  const CompiledPatchModel pexec(g, build_patch_plan(g, spec));
   const nn::Executor exec(g);
   const nn::Tensor in = random_input(g.shape(0), 9);
   expect_identical(pexec.run(in), exec.run(in));
 }
 
-TEST(PatchExecutor, SqueezeNetConcatStageExact) {
+TEST(CompiledPatchModel, SqueezeNetConcatStageExact) {
   models::ModelConfig cfg;
   cfg.width_multiplier = 0.5f;
   cfg.resolution = 48;
   cfg.num_classes = 10;
   const nn::Graph g = models::make_squeezenet(cfg);
   const PatchSpec spec = plan_mcunetv2(g, {/*grid=*/2, /*downsample=*/4});
-  const PatchExecutor pexec(g, build_patch_plan(g, spec));
+  const CompiledPatchModel pexec(g, build_patch_plan(g, spec));
   const nn::Executor exec(g);
   const nn::Tensor in = random_input(g.shape(0), 10);
   expect_identical(pexec.run(in), exec.run(in));
-}
-
-TEST(PatchExecutor, StepHookSeesEveryStep) {
-  const nn::Graph g = stage_net();
-  PatchSpec spec;
-  spec.split_layer = 3;
-  spec.grid_rows = spec.grid_cols = 2;
-  const PatchPlan plan = build_patch_plan(g, spec);
-  const PatchExecutor pexec(g, plan);
-  int calls = 0;
-  (void)pexec.run_stage(random_input(g.shape(0), 11),
-                        [&calls](int, int, nn::Tensor&) { ++calls; });
-  int expected = 0;
-  for (const PatchBranch& b : plan.branches) {
-    expected += static_cast<int>(b.steps.size());
-  }
-  EXPECT_EQ(calls, expected);
-}
-
-TEST(PatchExecutor, HookCanPerturbStageResults) {
-  const nn::Graph g = stage_net();
-  PatchSpec spec;
-  spec.split_layer = 3;
-  spec.grid_rows = spec.grid_cols = 2;
-  const PatchExecutor pexec(g, build_patch_plan(g, spec));
-  const nn::Tensor in = random_input(g.shape(0), 12);
-  const nn::Tensor clean = pexec.run(in);
-  const nn::Tensor dirty =
-      pexec.run(in, [](int, int, nn::Tensor& t) {
-        for (float& v : t.data()) v *= 1.01f;
-      });
-  double diff = 0.0;
-  for (std::size_t i = 0; i < clean.data().size(); ++i) {
-    diff += std::abs(clean.data()[i] - dirty.data()[i]);
-  }
-  EXPECT_GT(diff, 0.0);
 }
 
 TEST(CropFromRegion, ZeroFillsOutOfBounds) {
@@ -147,9 +107,10 @@ TEST(CropFromRegion, ZeroFillsOutOfBounds) {
   have.at(1, 0, 0) = 3.0f;
   have.at(1, 1, 0) = 4.0f;
   // `have` covers the full 2x2 map; ask for a region extending into padding.
-  const nn::Tensor out = crop_from_region(
-      have, Region{{0, 2}, {0, 2}}, Region{{-1, 2}, {-1, 2}}, {2, 2, 1});
-  EXPECT_EQ(out.shape(), (nn::TensorShape{3, 3, 1}));
+  nn::Tensor out(nn::TensorShape{3, 3, 1});
+  for (float& v : out.data()) v = 9.0f;  // stale scratch must be cleared
+  crop_from_region_into(have, Region{{0, 2}, {0, 2}},
+                        Region{{-1, 2}, {-1, 2}}, {2, 2, 1}, out);
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 0.0f);  // padding
   EXPECT_FLOAT_EQ(out.at(1, 1, 0), 1.0f);
   EXPECT_FLOAT_EQ(out.at(2, 2, 0), 4.0f);
@@ -159,8 +120,9 @@ TEST(CropFromRegion, FailsWhenRequiredDataMissing) {
   nn::Tensor have(nn::TensorShape{2, 2, 1});
   // `have` covers rows 0..2 only; asking for row 3 (valid in an 8-row map)
   // must fail loudly rather than fabricate data.
-  EXPECT_THROW(crop_from_region(have, Region{{0, 2}, {0, 2}},
-                                Region{{1, 4}, {0, 2}}, {8, 8, 1}),
+  nn::Tensor out(nn::TensorShape{3, 2, 1});
+  EXPECT_THROW(crop_from_region_into(have, Region{{0, 2}, {0, 2}},
+                                     Region{{1, 4}, {0, 2}}, {8, 8, 1}, out),
                std::logic_error);
 }
 
@@ -185,7 +147,7 @@ TEST_P(ZooWidePatchEquivalence, BitExactAcrossTheZoo) {
   cfg.num_classes = 10;
   const nn::Graph g = models::make_model(GetParam(), cfg);
   const PatchSpec spec = plan_mcunetv2(g, {2, 4});
-  const PatchExecutor pexec(g, build_patch_plan(g, spec));
+  const CompiledPatchModel pexec(g, build_patch_plan(g, spec));
   const nn::Executor exec(g);
   nn::Tensor in(g.shape(0));
   nn::Rng rng(21);
@@ -199,6 +161,122 @@ TEST_P(ZooWidePatchEquivalence, BitExactAcrossTheZoo) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ZooWidePatchEquivalence,
+                         ::testing::Values("mobilenetv2", "mcunet", "mnasnet",
+                                           "fbnet_a", "ofa_cpu", "resnet18",
+                                           "vgg16", "squeezenet",
+                                           "inceptionv3"));
+
+}  // namespace
+}  // namespace qmcu::patch
+
+// ---------------------------------------------------------------------------
+// The observed run, zoo-wide, float and uniform int8: every (branch, step)
+// is reported exactly once over the step's out_region, every tail layer
+// once, and each view holds exactly the layer-based feature map.
+namespace qmcu::patch {
+namespace {
+
+// The layer-based map `full` over `r` must equal `view` element for element.
+template <class T>
+void expect_region_of(const T& full, const Region& r, const T& view,
+                      const std::string& what) {
+  ASSERT_EQ(view.shape(),
+            (nn::TensorShape{r.y.size(), r.x.size(), full.shape().c}))
+      << what;
+  if constexpr (std::is_same_v<T, nn::QTensor>) {
+    ASSERT_EQ(view.params(), full.params()) << what;
+  }
+  for (int y = r.y.begin; y < r.y.end; ++y) {
+    for (int x = r.x.begin; x < r.x.end; ++x) {
+      for (int c = 0; c < full.shape().c; ++c) {
+        ASSERT_EQ(view.at(y - r.y.begin, x - r.x.begin, c), full.at(y, x, c))
+            << what << " at (" << y << ", " << x << ", " << c << ")";
+      }
+    }
+  }
+}
+
+// Runs `model` observed on `in` and checks every report against `memo`, the
+// layer-based maps indexed by layer id.
+template <class Model, class T>
+void expect_observed_maps(const Model& model, const nn::Tensor& in,
+                          const std::vector<T>& memo, const T& output) {
+  const PatchPlan& plan = model.plan();
+  const nn::Graph& g = model.graph();
+  const int split = plan.spec.split_layer;
+  std::vector<std::vector<int>> step_seen(plan.branches.size());
+  for (std::size_t b = 0; b < plan.branches.size(); ++b) {
+    step_seen[b].assign(plan.branches[b].steps.size(), 0);
+  }
+  std::vector<int> tail_seen(static_cast<std::size_t>(g.size()), 0);
+  const T out = model.run(in, [&](int b, int index, const T& fm) {
+    if (b >= 0) {
+      ASSERT_LT(static_cast<std::size_t>(b), plan.branches.size());
+      const PatchBranch& branch = plan.branches[static_cast<std::size_t>(b)];
+      ASSERT_LT(static_cast<std::size_t>(index), branch.steps.size());
+      ++step_seen[static_cast<std::size_t>(b)][static_cast<std::size_t>(index)];
+      const BranchStep& step = branch.steps[static_cast<std::size_t>(index)];
+      expect_region_of(memo[static_cast<std::size_t>(step.layer_id)],
+                       step.out_region, fm,
+                       "branch " + std::to_string(b) + " step " +
+                           std::to_string(index));
+      return;
+    }
+    ASSERT_EQ(b, -1);
+    ASSERT_GT(index, split);
+    ASSERT_LT(index, g.size());
+    ++tail_seen[static_cast<std::size_t>(index)];
+    const T& want = memo[static_cast<std::size_t>(index)];
+    expect_region_of(want, full_region(want.shape()), fm,
+                     "tail layer " + std::to_string(index));
+  });
+  for (std::size_t b = 0; b < step_seen.size(); ++b) {
+    for (std::size_t s = 0; s < step_seen[b].size(); ++s) {
+      EXPECT_EQ(step_seen[b][s], 1) << "branch " << b << " step " << s;
+    }
+  }
+  for (int id = 0; id < g.size(); ++id) {
+    EXPECT_EQ(tail_seen[static_cast<std::size_t>(id)], id > split ? 1 : 0)
+        << "layer " << id;
+  }
+  expect_region_of(output, full_region(output.shape()), out, "output");
+}
+
+class ZooWideObservedRun : public ::testing::TestWithParam<std::string> {
+ protected:
+  nn::Graph graph() const {
+    models::ModelConfig cfg;
+    cfg.width_multiplier = 0.25f;
+    cfg.resolution = 48;
+    cfg.num_classes = 10;
+    return models::make_model(GetParam(), cfg);
+  }
+};
+
+TEST_P(ZooWideObservedRun, FloatReportsEveryLayerBasedMap) {
+  const nn::Graph g = graph();
+  const CompiledPatchModel model(g,
+                                 build_patch_plan(g, plan_mcunetv2(g, {2, 4})));
+  const nn::Tensor in = random_input(g.shape(0), 61);
+  const nn::Executor exec(g);
+  const std::vector<nn::Tensor> memo = exec.run_all(in);
+  expect_observed_maps(model, in, memo, memo.back());
+}
+
+TEST_P(ZooWideObservedRun, UniformInt8ReportsEveryLayerBasedMap) {
+  const nn::Graph g = graph();
+  const auto ranges = quant::calibrate_ranges(
+      g, std::vector<nn::Tensor>{random_input(g.shape(0), 62)});
+  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+  const CompiledPatchQuantModel model(
+      g, build_patch_plan(g, plan_mcunetv2(g, {2, 4})), cfg);
+  const nn::Tensor in = random_input(g.shape(0), 63);
+  const nn::QuantExecutor exec(g, cfg);
+  const std::vector<nn::QTensor> memo = exec.run_all(in);
+  expect_observed_maps(model, in, memo, exec.run(in));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, ZooWideObservedRun,
                          ::testing::Values("mobilenetv2", "mcunet", "mnasnet",
                                            "fbnet_a", "ofa_cpu", "resnet18",
                                            "vgg16", "squeezenet",

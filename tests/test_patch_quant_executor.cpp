@@ -1,7 +1,9 @@
 // The quantized deployment path: patch-based integer inference must be
 // bit-identical to layer-based integer inference in uniform mode, and the
 // mixed-precision mode (the VDQS assignment actually executing) must track
-// the float reference within quantization noise.
+// the float reference within quantization noise. The test-only reference
+// (patch_reference.h) must itself agree with layer-based inference where
+// both apply.
 #include <gtest/gtest.h>
 
 #include "core/quantmcu.h"
@@ -11,8 +13,9 @@
 #include "nn/executor.h"
 #include "nn/memory_planner.h"
 #include "nn/rng.h"
+#include "patch/compiled_patch_model.h"
 #include "patch/mcunetv2.h"
-#include "patch/patch_quant_executor.h"
+#include "patch_reference.h"
 #include "quant/calibration.h"
 #include "quant/fake_quant.h"
 
@@ -79,7 +82,7 @@ TEST_P(QuantPatchEquivalence, UniformInt8MatchesLayerBasedExactly) {
   PatchSpec spec;
   spec.split_layer = split;
   spec.grid_rows = spec.grid_cols = grid;
-  const PatchQuantExecutor pexec(g, build_patch_plan(g, spec), cfg);
+  const CompiledPatchQuantModel pexec(g, build_patch_plan(g, spec), cfg);
   const nn::QuantExecutor qexec(g, cfg);
 
   const nn::Tensor in = random_input(g.shape(0), 3);
@@ -100,13 +103,13 @@ TEST(QuantPatchEquivalence, MobileNetV2UniformInt8Exact) {
   const auto cfg =
       quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const PatchSpec spec = plan_mcunetv2(g, {2, 4});
-  const PatchQuantExecutor pexec(g, build_patch_plan(g, spec), cfg);
+  const CompiledPatchQuantModel pexec(g, build_patch_plan(g, spec), cfg);
   const nn::QuantExecutor qexec(g, cfg);
   const nn::Tensor in = random_input(g.shape(0), 5);
   expect_q_identical(pexec.run(in), qexec.run(in));
 }
 
-TEST(QuantPatchExecutor, AssembledStageMatchesLayerBasedInt8) {
+TEST(ReferencePatchQuant, AssembledStageMatchesLayerBasedInt8) {
   const nn::Graph g = pooled_net();
   const std::vector<nn::Tensor> calib{random_input(g.shape(0), 6)};
   const auto ranges = quant::calibrate_ranges(g, calib);
@@ -115,14 +118,15 @@ TEST(QuantPatchExecutor, AssembledStageMatchesLayerBasedInt8) {
   PatchSpec spec;
   spec.split_layer = 4;
   spec.grid_rows = spec.grid_cols = 3;
-  const PatchQuantExecutor pexec(g, build_patch_plan(g, spec), cfg);
+  const ReferencePatchQuant ref(g, build_patch_plan(g, spec), cfg);
   const nn::QuantExecutor qexec(g, cfg);
   const nn::Tensor in = random_input(g.shape(0), 7);
   const auto memo = qexec.run_all(in);
-  expect_q_identical(pexec.run_stage_assembled(in), memo[4]);
+  expect_q_identical(ref.run_assembled(in), memo[4]);
+  expect_q_identical(ref.run(in), qexec.run(in));
 }
 
-TEST(QuantPatchExecutor, MixedPrecisionFromQuantMcuPlanRuns) {
+TEST(CompiledPatchQuantModel, MixedPrecisionFromQuantMcuPlanRuns) {
   const nn::Graph g = mbv2_net();
   data::DataConfig dc;
   dc.resolution = 48;
@@ -138,8 +142,8 @@ TEST(QuantPatchExecutor, MixedPrecisionFromQuantMcuPlanRuns) {
   const auto branch_cfgs = core::make_branch_quant_configs(g, plan, ranges);
   const auto deploy_cfg = core::make_deployment_quant_config(g, plan, ranges);
 
-  const PatchQuantExecutor pexec(g, plan.patch_plan, deploy_cfg,
-                                 branch_cfgs);
+  const CompiledPatchQuantModel pexec(g, plan.patch_plan, deploy_cfg,
+                                      branch_cfgs);
   const nn::Executor ref(g);
   const nn::Tensor in = ds.image(11);
   const nn::QTensor out = pexec.run(in);
@@ -156,7 +160,7 @@ TEST(QuantPatchExecutor, MixedPrecisionFromQuantMcuPlanRuns) {
   EXPECT_LT(quant::output_mse(deq, ref_out), 0.05);
 }
 
-TEST(QuantPatchExecutor, MixedPrecisionNoisierThanUniformInt8) {
+TEST(CompiledPatchQuantModel, MixedPrecisionNoisierThanUniformInt8) {
   const nn::Graph g = mbv2_net();
   data::DataConfig dc;
   dc.resolution = 48;
@@ -174,8 +178,9 @@ TEST(QuantPatchExecutor, MixedPrecisionNoisierThanUniformInt8) {
   const auto branch_cfgs = core::make_branch_quant_configs(g, plan, ranges);
   const auto deploy_cfg = core::make_deployment_quant_config(g, plan, ranges);
 
-  const PatchQuantExecutor uniform(g, plan.patch_plan, cfg8);
-  const PatchQuantExecutor mixed(g, plan.patch_plan, deploy_cfg, branch_cfgs);
+  const CompiledPatchQuantModel uniform(g, plan.patch_plan, cfg8);
+  const CompiledPatchQuantModel mixed(g, plan.patch_plan, deploy_cfg,
+                                      branch_cfgs);
   const nn::Executor ref(g);
 
   double err_uniform = 0.0;
@@ -190,7 +195,7 @@ TEST(QuantPatchExecutor, MixedPrecisionNoisierThanUniformInt8) {
   EXPECT_LE(err_uniform, err_mixed + 1e-9);
 }
 
-TEST(QuantPatchExecutor, ValidatesBranchConfigShapes) {
+TEST(CompiledPatchQuantModel, ValidatesBranchConfigShapes) {
   const nn::Graph g = pooled_net();
   const std::vector<nn::Tensor> calib{random_input(g.shape(0), 8)};
   const auto ranges = quant::calibrate_ranges(g, calib);
@@ -201,15 +206,17 @@ TEST(QuantPatchExecutor, ValidatesBranchConfigShapes) {
   spec.grid_rows = spec.grid_cols = 2;
   const PatchPlan plan = build_patch_plan(g, spec);
   std::vector<BranchQuantConfig> bad(plan.branches.size() - 1);
-  EXPECT_THROW(PatchQuantExecutor(g, plan, cfg, bad), std::invalid_argument);
+  EXPECT_THROW(CompiledPatchQuantModel(g, plan, cfg, bad),
+               std::invalid_argument);
 }
 
 TEST(CropFromRegionQ, FillsPaddingWithZeroPoint) {
   const nn::QuantParams p = nn::choose_quant_params(-1.0f, 3.0f, 8);
   nn::QTensor have(nn::TensorShape{2, 2, 1}, p);
   have.at(0, 0, 0) = 5;
-  const nn::QTensor out = crop_from_region_q(
-      have, Region{{0, 2}, {0, 2}}, Region{{-1, 2}, {-1, 2}}, {2, 2, 1});
+  nn::QTensor out(nn::TensorShape{3, 3, 1}, p);
+  crop_from_region_q_into(have, Region{{0, 2}, {0, 2}},
+                          Region{{-1, 2}, {-1, 2}}, {2, 2, 1}, out);
   EXPECT_EQ(out.at(0, 0, 0), static_cast<std::int8_t>(p.zero_point));
   EXPECT_EQ(out.at(1, 1, 0), 5);
 }
@@ -236,7 +243,7 @@ TEST_P(ZooWideQuantEquivalence, UniformInt8BitExact) {
   const auto qcfg =
       quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
   const PatchSpec spec = plan_mcunetv2(g, {2, 4});
-  const PatchQuantExecutor pexec(g, build_patch_plan(g, spec), qcfg);
+  const CompiledPatchQuantModel pexec(g, build_patch_plan(g, spec), qcfg);
   const nn::QuantExecutor qexec(g, qcfg);
   const nn::Tensor in = random_input(g.shape(0), 32);
   expect_q_identical(pexec.run(in), qexec.run(in));

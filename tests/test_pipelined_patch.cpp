@@ -26,8 +26,6 @@
 #include "nn/runtime/worker_pool.h"
 #include "patch/compiled_patch_model.h"
 #include "patch/mcunetv2.h"
-#include "patch/patch_executor.h"
-#include "patch/patch_quant_executor.h"
 #include "quant/calibration.h"
 
 namespace qmcu {
@@ -254,7 +252,9 @@ TEST(PipelinedPatch, BandDependenciesCoverInputRows) {
     // The layer right after the cut must depend on at least one grid row
     // per band, and only on valid rows / upstream bands.
     for (std::size_t j = 0; j < pl.bands.size(); ++j) {
-      if (pi == 0) EXPECT_FALSE(pl.grid_row_deps[j].empty());
+      if (pi == 0) {
+        EXPECT_FALSE(pl.grid_row_deps[j].empty());
+      }
       for (const int r : pl.grid_row_deps[j]) {
         EXPECT_GE(r, 0);
         EXPECT_LT(r, plan.spec.grid_rows);
@@ -312,14 +312,14 @@ TEST(PipelinedPatch, InterleavedModesReuseModelState) {
   const nn::Graph g = models::make_model("mcunet", small_cfg());
   const patch::PatchPlan plan =
       patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
-  const patch::PatchExecutor exec(g, plan);
+  const patch::CompiledPatchModel exec(g, plan);
   nn::WorkerPool pool(3);
   for (std::uint64_t seed = 50; seed < 53; ++seed) {
     const nn::Tensor in = random_input(g.shape(0), seed);
     const nn::Tensor expect = exec.run(in);
-    expect_f_identical(exec.run_parallel(in, &pool), expect);
+    expect_f_identical(exec.run(in, &pool), expect);
     expect_f_identical(exec.run(in), expect);
-    expect_f_identical(exec.run_parallel(in, &pool), expect);
+    expect_f_identical(exec.run(in, &pool), expect);
   }
 }
 

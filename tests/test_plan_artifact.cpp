@@ -323,7 +323,7 @@ TEST(PlanArtifact, PatchMixedModeRoundTripBitExact) {
 // A mixed plan whose branch conv keeps the deployment input zero point but
 // carries its own rescaled bias. Nothing baked for the deployment bias may
 // stand in for that step's requantization offset: the loaded model must
-// match a Reference-tier model layer for layer from the cut on.
+// match a Reference-tier model map for map, branch steps and tail layers.
 TEST(PlanArtifact, MixedBranchBiasAtDeploymentZeroPointLoadsBitExact) {
   const nn::Graph g = mbv2_net();
   const auto ranges = quant::calibrate_ranges(
@@ -364,35 +364,42 @@ TEST(PlanArtifact, MixedBranchBiasAtDeploymentZeroPointLoadsBitExact) {
   const patch::LoadedPatchModel loaded = patch::load_compiled_patch(path);
   const patch::CompiledPatchQuantModel ref(g, plan, cfg, branch_cfgs,
                                            nn::ops::KernelTier::Reference);
-  const auto& branch_bias =
-      ref.branch_bias()[0][static_cast<std::size_t>(conv_step)];
+  const auto branch_bias = patch::build_branch_bias(
+      g, plan, branch_cfgs,
+      *ref.shared_parameters())[0][static_cast<std::size_t>(conv_step)];
   const auto deploy_bias =
       ref.shared_parameters()->bias[static_cast<std::size_t>(conv_layer)];
   ASSERT_FALSE(std::equal(branch_bias.begin(), branch_bias.end(),
                           deploy_bias.begin(), deploy_bias.end()))
       << "the branch step must carry a bias of its own";
 
-  // Every layer's output from the cut on, via the stats hook.
-  using Capture = std::vector<std::vector<std::int8_t>>;
-  const auto capture = [](Capture& into) {
-    return [&into](int, const nn::QTensor& t) {
-      into.emplace_back(t.data().begin(), t.data().end());
+  // Every branch step's and every tail layer's map, as each is computed.
+  struct Map {
+    int branch;
+    int index;
+    std::vector<std::int8_t> bytes;
+  };
+  const auto capture = [](std::vector<Map>& into) {
+    return [&into](int branch, int index, const nn::QTensor& t) {
+      into.push_back({branch, index, {t.data().begin(), t.data().end()}});
     };
   };
   const nn::Tensor in = random_input(g.shape(0), 41);
-  Capture want;
-  Capture got;
-  ref.set_stats_hook(capture(want));
-  (void)ref.run(in);
-  loaded.model->set_stats_hook(capture(got));
-  (void)loaded.model->run(in);
+  std::vector<Map> want;
+  std::vector<Map> got;
+  (void)ref.run(in, capture(want));
+  (void)loaded.model->run(in, capture(got));
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i], want[i]) << "layer " << plan.spec.split_layer + i;
+    ASSERT_EQ(got[i].branch, want[i].branch);
+    ASSERT_EQ(got[i].index, want[i].index);
+    EXPECT_EQ(got[i].bytes, want[i].bytes)
+        << (want[i].branch < 0
+                ? "tail layer " + std::to_string(want[i].index)
+                : "branch " + std::to_string(want[i].branch) + " step " +
+                      std::to_string(want[i].index));
   }
-  loaded.model->set_stats_hook(nullptr);
   nn::WorkerPool pool(2);
-  ref.set_stats_hook(nullptr);
   expect_q_identical(loaded.model->run(in, &pool), ref.run(in));
 }
 

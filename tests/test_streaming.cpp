@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/quantmcu.h"
@@ -327,6 +328,64 @@ TEST(Streaming, StatsHookObservesTailLayers) {
   // In-distribution input: no drift alarm.
   EXPECT_FALSE(session.stats().needs_recalibration);
   EXPECT_GE(session.stats().drift_score, 0.0);
+}
+
+// The stats hook reports a layer's bytes after the run has finished, so it
+// may fire only where every tail slot is still live then: streaming frames
+// (whose layout never overlays tail slots). A plain or pipelined run
+// overlays them, so any report from those would be stale bytes.
+TEST(Streaming, StatsHookReportsOnlyLiveStreamingMaps) {
+  const nn::Graph g = models::make_model("mobilenetv2", small_cfg());
+  const auto ranges = quant::calibrate_ranges(
+      g, std::vector<nn::Tensor>{random_input(g.shape(0), 7)});
+  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+  const patch::PatchPlan plan =
+      patch::build_patch_plan(g, patch::plan_mcunetv2(g, {2, 2}));
+  const patch::CompiledPatchQuantModel model(g, plan, cfg);
+  const nn::QuantExecutor layer_based(g, cfg);
+  const int split = plan.spec.split_layer;
+
+  std::vector<std::pair<int, std::vector<std::int8_t>>> seen;
+  model.set_stats_hook([&seen](int id, const nn::QTensor& t) {
+    seen.emplace_back(id, std::vector<std::int8_t>(t.data().begin(),
+                                                   t.data().end()));
+  });
+  // Every report must be the layer's map for `frame`; returns the count.
+  const auto check = [&](const nn::Tensor& frame, const char* how) {
+    const std::vector<nn::QTensor> memo = layer_based.run_all(frame);
+    for (const auto& [id, bytes] : seen) {
+      const auto want = memo[static_cast<std::size_t>(id)].data();
+      EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), want.begin(),
+                             want.end()))
+          << how << ": stale map reported for layer " << id;
+    }
+    const std::size_t n = seen.size();
+    seen.clear();
+    return n;
+  };
+
+  const std::vector<nn::Tensor> frames = make_stream(g.shape(0), 3, 71);
+  nn::WorkerPool pool(2);
+  (void)model.run(frames[0]);
+  EXPECT_EQ(check(frames[0], "run(input)"), 0u);
+  (void)model.run(frames[0], &pool);
+  EXPECT_EQ(check(frames[0], "run(input, pool)"), 0u);
+
+  // Streaming frames report the cut layer and every tail layer, each equal
+  // to the layer-based map — also on later frames that skip clean work.
+  const auto layers = static_cast<std::size_t>(g.size() - split);
+  for (nn::WorkerPool* p : {static_cast<nn::WorkerPool*>(nullptr), &pool}) {
+    patch::StreamState state;
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      if (f > 0) {
+        state.branch_dirty =
+            patch::dirty_branches(frames[f - 1], frames[f], plan);
+      }
+      (void)model.run_streaming(frames[f], p, state);
+      EXPECT_EQ(check(frames[f], "run_streaming"), layers) << "frame " << f;
+    }
+  }
+  model.set_stats_hook(nullptr);
 }
 
 // Codes spread across the quantized range without touching the rails: the

@@ -10,11 +10,11 @@
 // on another (the synthetic zoo is bit-identical across toolchains) and
 // require equality. --inspect prints the header and section table.
 //
-//   qmcu_pack --model mobilenetv2 --kind quant --bits 8 \
-//             --out mbv2_int8.qmcp --verify
-//   qmcu_pack --model mobilenetv2 --kind quant --bits 8 \
-//             --check mbv2_int8.qmcp          # no write, just compare
-//   qmcu_pack --inspect mbv2_int8.qmcp
+// One command per line (--check writes nothing, it only compares):
+//
+//   qmcu_pack --model mobilenetv2 --kind quant --bits 8 --out m.qmcp --verify
+//   qmcu_pack --model mobilenetv2 --kind quant --bits 8 --check m.qmcp
+//   qmcu_pack --inspect m.qmcp
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
